@@ -8,11 +8,14 @@
 //! enginebench [--out <path>] [--check <baseline.json>]
 //! ```
 //!
-//! `--out` (default `BENCH_engine.json`) writes the measurement.
-//! `--check` compares the fresh `*_events_per_sec` numbers against a
-//! previously committed baseline and exits nonzero if any regresses by
-//! more than 30% — the CI smoke gate. Figure wall-clocks are recorded
-//! for trend reading but not gated (they shift with runner load).
+//! `--out` writes the measurement; without `--check` it defaults to
+//! `BENCH_engine.json`. `--check` compares the fresh `*_events_per_sec`
+//! numbers against a previously committed baseline and exits nonzero if
+//! any regresses by more than 30% — the CI smoke gate. A `--check` run
+//! never writes its baseline: without `--out` it writes nothing, and an
+//! `--out` naming the baseline file is refused. Figure wall-clocks are
+//! recorded for trend reading but not gated (they shift with runner
+//! load).
 
 use std::time::Instant;
 
@@ -513,6 +516,17 @@ fn baseline_events_per_sec(json: &str, name: &str) -> Option<f64> {
     num.parse().ok()
 }
 
+/// `true` when `a` and `b` name the same file: identical paths, or
+/// paths that resolve to one existing file.
+fn same_file(a: &str, b: &str) -> bool {
+    use std::path::Path;
+    Path::new(a) == Path::new(b)
+        || matches!(
+            (std::fs::canonicalize(a), std::fs::canonicalize(b)),
+            (Ok(x), Ok(y)) if x == y
+        )
+}
+
 fn main() {
     let opts = npf_bench::tracectl::RunOpts::init(&["out", "check"]);
     // Regression guard for the fig4a_shards4 fix: a single-core host
@@ -523,8 +537,16 @@ fn main() {
         1,
         "single-core hosts must run shard pools inline"
     );
-    let out_path = opts.extra("out").unwrap_or("BENCH_engine.json").to_owned();
     let check_path = opts.extra("check").map(str::to_owned);
+    let out_path = match (opts.extra("out"), &check_path) {
+        (Some(out), Some(check)) if same_file(out, check) => {
+            eprintln!("--out {out} names the --check baseline; refusing to overwrite it");
+            std::process::exit(2);
+        }
+        (Some(out), _) => Some(out.to_owned()),
+        (None, Some(_)) => None,
+        (None, None) => Some("BENCH_engine.json".to_owned()),
+    };
 
     let samples = [
         bench_schedule_pop(),
@@ -554,12 +576,14 @@ fn main() {
         println!("{name:<24} {ms:>12.1} ms");
     }
 
-    let json = render_json(&samples, &figures);
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(2);
+    if let Some(out_path) = out_path {
+        let json = render_json(&samples, &figures);
+        if let Err(e) = std::fs::write(&out_path, &json) {
+            eprintln!("failed to write {out_path}: {e}");
+            std::process::exit(2);
+        }
+        println!("engine benchmark written to {out_path}");
     }
-    println!("engine benchmark written to {out_path}");
 
     if let Some(path) = check_path {
         let baseline = match std::fs::read_to_string(&path) {

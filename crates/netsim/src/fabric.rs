@@ -5,9 +5,8 @@
 //! [`Fabric`] owns the links and computes end-to-end delivery times,
 //! store-and-forward through the switch.
 
-use std::collections::HashMap;
-
 use simcore::chaos::{ChaosEngine, PacketFate};
+use simcore::fxhash::FxHashMap;
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 
@@ -58,7 +57,7 @@ pub struct Fabric {
     nodes: u32,
     /// For back-to-back: key (from, to). For star: uplinks keyed
     /// (from, SWITCH) and downlinks keyed (SWITCH, to).
-    links: HashMap<(u32, u32), Link>,
+    links: FxHashMap<(u32, u32), Link>,
     /// Packets dropped by fault injection.
     chaos_drops: u64,
     /// PFC thresholds `(xoff, xon)` in bytes, when armed. On a star,
@@ -75,7 +74,7 @@ impl Fabric {
     /// Two nodes (`NodeId(0)`, `NodeId(1)`) connected directly.
     #[must_use]
     pub fn back_to_back(config: LinkConfig, rng: &mut SimRng) -> Self {
-        let mut links = HashMap::new();
+        let mut links = FxHashMap::default();
         links.insert((0, 1), Link::new(config, rng.fork(0x01)));
         links.insert((1, 0), Link::new(config, rng.fork(0x10)));
         Fabric {
@@ -96,7 +95,7 @@ impl Fabric {
         switch_latency: SimDuration,
         rng: &mut SimRng,
     ) -> Self {
-        let mut links = HashMap::new();
+        let mut links = FxHashMap::default();
         for n in 0..nodes {
             links.insert((n, SWITCH), Link::new(config, rng.fork(u64::from(n) * 2)));
             links.insert(

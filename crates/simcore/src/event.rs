@@ -7,16 +7,32 @@
 //!
 //! # Cancellation bookkeeping
 //!
-//! Cancellation is O(1) and hash-free: every scheduled event owns a slot in
-//! a generation-tagged slab, and its heap entry carries the slot index.
-//! [`EventQueue::cancel`] flips the slot to a tombstone; tombstoned entries
-//! are dropped from the heap lazily, with a counter keeping [`EventQueue::len`]
-//! exact. The queue maintains the invariant that the heap *top* is never a
-//! tombstone (tombstones are drained whenever they surface), so
-//! [`EventQueue::next_time`] is a non-mutating O(1) peek. Slot generations
-//! make stale tokens — from events that already fired, were cancelled, or
-//! were discarded by [`EventQueue::clear`] — harmless even after their slot
-//! is reused.
+//! Cancellation is O(1) amortised and hash-free: every scheduled event owns
+//! a slot in a generation-tagged slab, and its heap entry carries the slot
+//! index. [`EventQueue::cancel`] flips the slot to a tombstone; tombstoned
+//! entries leave the heap in two ways, with a counter keeping
+//! [`EventQueue::len`] exact:
+//!
+//! - **Top drain.** The heap *top* is never a tombstone (tombstones are
+//!   drained whenever they surface), so [`EventQueue::next_time`] is a
+//!   non-mutating O(1) peek.
+//! - **Bulk compaction.** Re-arming a timer (cancel the old deadline,
+//!   schedule a new one) buries tombstones deep in the heap, where the
+//!   top drain never reaches them until their deadline comes round — a
+//!   TCP RTO floor of 200 ms leaves ~2000 dead entries per live one on a
+//!   busy testbed. So whenever tombstones reach `COMPACT_MIN` (64) *and*
+//!   outnumber the live entries after a `cancel` or `pop`, the queue
+//!   drops every tombstone at once, frees their slots, and re-heapifies
+//!   bottom-up (Floyd's method). The heap therefore always holds fewer
+//!   than `2·len() + 64` entries. A compaction over `n` entries costs
+//!   O(n) and removes more than `n/2` of them, each of which paid one
+//!   O(1) `cancel`, so the amortised cost of `cancel` stays O(1).
+//!
+//! Neither path can change the pop order: delivery keys `(at, seq)` are
+//! unique, so the sequence of minima a heap yields does not depend on its
+//! shape. Slot generations make stale tokens — from events that already
+//! fired, were cancelled, or were discarded by [`EventQueue::clear`] —
+//! harmless even after their slot is reused.
 //!
 //! # Examples
 //!
@@ -109,8 +125,13 @@ impl MinHeap {
         let last = self.v.len().checked_sub(1)?;
         self.v.swap(0, last);
         let top = self.v.pop();
+        self.sift_down(0);
+        top
+    }
+
+    /// Moves the entry at `i` down until no child sorts before it.
+    fn sift_down(&mut self, mut i: usize) {
         let len = self.v.len();
-        let mut i = 0;
         loop {
             let first = i * Self::ARITY + 1;
             if first >= len {
@@ -129,7 +150,18 @@ impl MinHeap {
             self.v.swap(i, min);
             i = min;
         }
-        top
+    }
+
+    /// Keeps only the entries `keep` accepts, then restores heap order
+    /// bottom-up (Floyd's method: sift down every internal node, last
+    /// parent first), O(n) for the whole rebuild.
+    fn retain(&mut self, keep: impl FnMut(&Entry) -> bool) {
+        self.v.retain(keep);
+        if self.v.len() > 1 {
+            for i in (0..=(self.v.len() - 2) / Self::ARITY).rev() {
+                self.sift_down(i);
+            }
+        }
     }
 }
 
@@ -179,6 +211,11 @@ struct Slot<E> {
 }
 
 const NIL: u32 = u32::MAX;
+
+/// Fewest tombstones that trigger a bulk compaction (which also needs
+/// them to outnumber the live entries). Below this the top drain alone
+/// keeps the heap small.
+const COMPACT_MIN: usize = 64;
 
 /// A time-ordered queue of simulation events.
 ///
@@ -315,8 +352,14 @@ impl<E> EventQueue<E> {
         slot.event.take()
     }
 
-    /// Restores the invariant that the heap top is never a tombstone.
+    /// Restores the invariants that the heap top is never a tombstone
+    /// and that tombstones never both reach `COMPACT_MIN` and outnumber
+    /// the live entries.
     fn drain_tombstones(&mut self) {
+        if self.tombstones >= COMPACT_MIN && self.tombstones > self.len() {
+            self.compact();
+            return;
+        }
         while self.tombstones > 0 {
             let Some(top) = self.heap.peek() else { return };
             if self.slots[top.slot as usize].state != SlotState::Cancelled {
@@ -326,6 +369,28 @@ impl<E> EventQueue<E> {
             self.free_slot(entry.slot);
             self.tombstones -= 1;
         }
+    }
+
+    /// Drops every tombstone from the heap in one O(n) pass. Each
+    /// dropped entry's slot is freed with a generation bump, exactly as
+    /// the top drain frees it.
+    fn compact(&mut self) {
+        let mut heap = std::mem::replace(&mut self.heap, MinHeap::new());
+        heap.retain(|entry| {
+            let live = self.slots[entry.slot as usize].state != SlotState::Cancelled;
+            if !live {
+                self.free_slot(entry.slot);
+            }
+            live
+        });
+        self.heap = heap;
+        self.tombstones = 0;
+    }
+
+    /// Heap entries including tombstones (for the compaction bound test).
+    #[cfg(test)]
+    fn heap_len(&self) -> usize {
+        self.heap.len()
     }
 
     /// Schedules `event` at absolute time `at`. Times in the past are
@@ -355,7 +420,8 @@ impl<E> EventQueue<E> {
     /// Cancels a previously scheduled event. Returns `true` if the event
     /// was still pending. Cancelling twice, cancelling an event that
     /// already fired, or cancelling across a [`EventQueue::clear`]
-    /// returns `false`.
+    /// returns `false`. Amortised O(1): an occasional call compacts the
+    /// heap (see the module docs).
     pub fn cancel(&mut self, token: EventToken) -> bool {
         let idx = token.slot();
         let Some(slot) = self.slots.get_mut(idx as usize) else {
@@ -661,5 +727,186 @@ mod tests {
             out
         };
         assert_eq!(run(), run());
+    }
+
+    /// Reference model: a `BTreeMap` keyed by the delivery order, plus
+    /// the set of tokens whose events are still pending.
+    #[derive(Default)]
+    struct Model {
+        pending: std::collections::BTreeMap<(SimTime, u64), u64>,
+        tokens: std::collections::HashMap<EventToken, (SimTime, u64)>,
+        now: SimTime,
+        seq: u64,
+        scheduled: u64,
+        popped: u64,
+        cancelled: u64,
+        discarded: u64,
+    }
+
+    impl Model {
+        fn schedule_at(&mut self, token: EventToken, at: SimTime, e: u64) {
+            let key = (at.max(self.now), self.seq);
+            self.seq += 1;
+            self.scheduled += 1;
+            self.pending.insert(key, e);
+            assert!(
+                self.tokens.insert(token, key).is_none(),
+                "token reused while live"
+            );
+        }
+
+        fn cancel(&mut self, token: EventToken) -> bool {
+            let Some(key) = self.tokens.remove(&token) else {
+                return false;
+            };
+            self.pending.remove(&key).expect("live token has an event");
+            self.cancelled += 1;
+            true
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u64)> {
+            let ((at, seq), e) = self.pending.pop_first()?;
+            self.tokens.retain(|_, key| *key != (at, seq));
+            self.now = at;
+            self.popped += 1;
+            Some((at, e))
+        }
+
+        fn clear(&mut self) {
+            self.discarded += self.pending.len() as u64;
+            self.pending.clear();
+            self.tokens.clear();
+        }
+    }
+
+    fn assert_matches(q: &EventQueue<u64>, m: &Model) {
+        assert_eq!(q.len(), m.pending.len());
+        assert_eq!(q.is_empty(), m.pending.is_empty());
+        assert_eq!(q.next_time(), m.pending.keys().next().map(|&(at, _)| at));
+        assert_eq!(q.now(), m.now);
+        assert_eq!(
+            (
+                q.scheduled_total(),
+                q.popped_total(),
+                q.cancelled_total(),
+                q.discarded_total()
+            ),
+            (m.scheduled, m.popped, m.cancelled, m.discarded)
+        );
+        assert_eq!(
+            q.scheduled_total(),
+            q.popped_total() + q.cancelled_total() + q.discarded_total() + q.len() as u64
+        );
+        assert!(
+            q.heap_len() < 2 * q.len() + COMPACT_MIN,
+            "heap {} entries for {} live",
+            q.heap_len(),
+            q.len()
+        );
+    }
+
+    /// Schedules event `e` on both sides at a random time: mostly in
+    /// the future, some in the past (clamped), many ties on `now`.
+    /// Timers land far beyond the ordinary events, the way a TCP RTO
+    /// does, so their cancelled deadlines sink below the heap top.
+    fn schedule_both(
+        q: &mut EventQueue<u64>,
+        m: &mut Model,
+        rng: &mut crate::rng::SimRng,
+        e: u64,
+        timer: bool,
+    ) -> EventToken {
+        let now = m.now.as_nanos();
+        let at = SimTime::from_nanos(match rng.below(4) {
+            _ if timer => now + 100_000 + rng.below(100_000),
+            0 => now.saturating_sub(rng.below(50)),
+            1 => now,
+            _ => now + 1 + rng.below(5_000),
+        });
+        let tok = q.schedule_at(at, e);
+        m.schedule_at(tok, at, e);
+        tok
+    }
+
+    #[test]
+    fn differential_against_btreemap_model() {
+        for seed in 0..24u64 {
+            let mut rng = crate::rng::SimRng::new(seed);
+            let mut q = EventQueue::new();
+            let mut m = Model::default();
+            // Every token ever issued: live, fired, cancelled or cleared.
+            let mut issued: Vec<EventToken> = Vec::new();
+            // Tokens of re-armable timers; re-arming cancels and
+            // reschedules, burying tombstones the top drain cannot reach.
+            let mut timers: Vec<EventToken> = Vec::new();
+            for e in 0..4_000u64 {
+                match rng.below(100) {
+                    0..=19 => issued.push(schedule_both(&mut q, &mut m, &mut rng, e, false)),
+                    20..=24 => {
+                        let tok = schedule_both(&mut q, &mut m, &mut rng, e, true);
+                        issued.push(tok);
+                        timers.push(tok);
+                    }
+                    25..=64 if !timers.is_empty() => {
+                        // Re-arm; the old token may already have fired.
+                        let i = rng.below(timers.len() as u64) as usize;
+                        assert_eq!(q.cancel(timers[i]), m.cancel(timers[i]));
+                        timers[i] = schedule_both(&mut q, &mut m, &mut rng, e, true);
+                        issued.push(timers[i]);
+                    }
+                    65..=74 if !issued.is_empty() => {
+                        // Any token at all, live or stale.
+                        let tok = issued[rng.below(issued.len() as u64) as usize];
+                        assert_eq!(q.cancel(tok), m.cancel(tok));
+                    }
+                    75..=98 => assert_eq!(q.pop(), m.pop()),
+                    99 => {
+                        q.clear();
+                        m.clear();
+                    }
+                    _ => {}
+                }
+                assert_matches(&q, &m);
+            }
+            // Drain: the remaining pop streams agree to the end.
+            loop {
+                let (a, b) = (q.pop(), m.pop());
+                assert_eq!(a, b);
+                assert_matches(&q, &m);
+                if a.is_none() {
+                    break;
+                }
+            }
+            // Every token is now stale.
+            for tok in issued {
+                assert!(!q.cancel(tok));
+            }
+        }
+    }
+
+    #[test]
+    fn rearming_one_timer_keeps_the_heap_near_live() {
+        // A handful of live events ahead of the timer keep its cancelled
+        // deadlines off the heap top, so only compaction can shed them.
+        let mut q = EventQueue::new();
+        for i in 0..5u64 {
+            q.schedule_at(SimTime::from_micros(1 + i), i);
+        }
+        let rto = SimTime::from_millis(200);
+        let mut timer = q.schedule_at(rto, 100);
+        for k in 1..=100_000u64 {
+            assert!(q.cancel(timer));
+            timer = q.schedule_at(rto + SimDuration::from_nanos(k), 100);
+            assert!(q.heap_len() <= 2 * q.len() + COMPACT_MIN);
+        }
+        assert_eq!(q.len(), 6);
+        assert_eq!(q.cancelled_total(), 100_000);
+        let order: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
+        let mut expected: Vec<(SimTime, u64)> = (0..5u64)
+            .map(|i| (SimTime::from_micros(1 + i), i))
+            .collect();
+        expected.push((rto + SimDuration::from_nanos(100_000), 100));
+        assert_eq!(order, expected);
+        assert!(!q.cancel(timer), "fired timer token is stale");
     }
 }

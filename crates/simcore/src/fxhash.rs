@@ -11,6 +11,21 @@
 //! never depend on map iteration order; determinism comes from the
 //! discipline of iterating sorted or intrusive structures, the fixed
 //! seed just removes one source of accidental run-to-run variation.
+//!
+//! The maps a simulated event touches all use it:
+//!
+//! - `iommu::iotlb` — the IOTLB index and its superpage store;
+//! - `nicsim::sriov` — channels, ring ownership and port steering;
+//! - `netsim::fabric::Fabric` — the link table, one lookup per hop;
+//! - `tcpsim::stack::TcpStack` — connection demultiplexing and listeners;
+//! - `testbed::eth` — per-connection RTO timers, request/response
+//!   oracles and issue times;
+//! - `testbed::ib::IbNode` — QPs, their domains and their armed timers
+//!   (the fault wake-up scans QPs in sorted id order, never map order);
+//! - `workloads::memcached` — the key-value store;
+//! - `simcore::stats::Counters` — the string-keyed counter bag
+//!   (exported in name order);
+//! - `simcore::journal` — open (admitted, unresolved) faults.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -352,7 +352,7 @@ impl ThroughputMeter {
 /// deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct Counters {
-    entries: std::collections::HashMap<Box<str>, u64>,
+    entries: crate::fxhash::FxHashMap<Box<str>, u64>,
 }
 
 impl Counters {

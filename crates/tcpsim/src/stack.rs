@@ -5,8 +5,7 @@
 //! port spawn new connections. All effects bubble up tagged with the
 //! connection they belong to.
 
-use std::collections::HashMap;
-
+use simcore::fxhash::FxHashMap;
 use simcore::time::SimTime;
 
 use crate::conn::{TcpConnection, TcpOutput, TcpState};
@@ -18,8 +17,8 @@ pub type ConnId = (u16, u16);
 /// A TCP stack instance.
 #[derive(Debug, Default)]
 pub struct TcpStack {
-    conns: HashMap<ConnId, TcpConnection>,
-    listeners: HashMap<u16, TcpConfig>,
+    conns: FxHashMap<ConnId, TcpConnection>,
+    listeners: FxHashMap<u16, TcpConfig>,
 }
 
 impl TcpStack {

@@ -6,8 +6,6 @@
 //! latency, RNR NACK timing, and transport retries all interleave on
 //! one deterministic clock.
 
-use std::collections::HashMap;
-
 use memsim::manager::{MemConfig, MemoryManager, TierConfig};
 use memsim::space::Backing;
 use memsim::swap::DiskConfig;
@@ -24,6 +22,7 @@ use rdmasim::types::{
 };
 use simcore::chaos::{invariant, ChaosConfig, ChaosEngine, IommuFate, MemoryFate, PauseFate};
 use simcore::event::{EventQueue, EventToken};
+use simcore::fxhash::FxHashMap;
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 use simcore::trace;
@@ -190,9 +189,9 @@ pub struct IbNode {
     engine: NpfEngine,
     space: SpaceId,
     default_domain: DomainId,
-    qps: HashMap<QpId, RcQp>,
-    domains: HashMap<QpId, DomainId>,
-    timers: HashMap<(QpId, QpTimer), EventToken>,
+    qps: FxHashMap<QpId, RcQp>,
+    domains: FxHashMap<QpId, DomainId>,
+    timers: FxHashMap<(QpId, QpTimer), EventToken>,
     completions: Vec<Completion>,
     synthetic: Option<SyntheticInjector>,
 }
@@ -415,9 +414,9 @@ impl IbCluster {
                     engine,
                     space,
                     default_domain,
-                    qps: HashMap::new(),
-                    domains: HashMap::new(),
-                    timers: HashMap::new(),
+                    qps: FxHashMap::default(),
+                    domains: FxHashMap::default(),
+                    timers: FxHashMap::default(),
                     completions: Vec::new(),
                     synthetic: None,
                 }
@@ -516,6 +515,18 @@ impl IbCluster {
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.queue.now()
+    }
+
+    /// Lifetime event-queue counters:
+    /// `(scheduled, popped, cancelled, pending)`.
+    #[must_use]
+    pub fn queue_stats(&self) -> (u64, u64, u64, usize) {
+        (
+            self.queue.scheduled_total(),
+            self.queue.popped_total(),
+            self.queue.cancelled_total(),
+            self.queue.len(),
+        )
     }
 
     /// A node.
@@ -710,18 +721,9 @@ impl IbCluster {
                 if n.engine.pending_fault(fault).is_some() {
                     n.engine.complete_fault(fault);
                 }
-                // Wake every QP that might be paused on this fault.
-                let qpids: Vec<QpId> = n.qps.keys().copied().collect();
-                for qp in qpids {
-                    self.drive_qp(now, node, qp, QpDrive::FaultResolved(fault));
-                }
+                self.wake_qps(now, node, fault);
             }
-            IbEvent::SynthDone { node, fault } => {
-                let qpids: Vec<QpId> = self.nodes[node as usize].qps.keys().copied().collect();
-                for qp in qpids {
-                    self.drive_qp(now, node, qp, QpDrive::FaultResolved(fault));
-                }
-            }
+            IbEvent::SynthDone { node, fault } => self.wake_qps(now, node, fault),
             IbEvent::PostSend {
                 node,
                 qp,
@@ -740,6 +742,18 @@ impl IbCluster {
                     self.arm_chaos_tick();
                 }
             }
+        }
+    }
+
+    /// Wakes every QP of `node` that might be paused on `fault`, in
+    /// ascending `QpId` order: each wake can post packets and arm
+    /// timers, so the order reaches the event stream and must not come
+    /// from map layout.
+    fn wake_qps(&mut self, now: SimTime, node: u32, fault: u64) {
+        let mut qpids: Vec<QpId> = self.nodes[node as usize].qps.keys().copied().collect();
+        qpids.sort_unstable();
+        for qp in qpids {
+            self.drive_qp(now, node, qp, QpDrive::FaultResolved(fault));
         }
     }
 
@@ -1126,5 +1140,63 @@ mod tests {
             faulty > clean,
             "faults must cost time: clean {clean}, faulty {faulty}"
         );
+    }
+
+    /// Both nodes' completions, the final clock and the queue counters.
+    type RunOutcome = (
+        Vec<Completion>,
+        Vec<Completion>,
+        SimTime,
+        (u64, u64, u64, usize),
+    );
+
+    /// Eight QPs between two nodes share one cold ODP buffer on each
+    /// side, so a single fault blocks several QPs of one node at once
+    /// and its resolution wakes them together.
+    fn shared_cold_buffer_run() -> RunOutcome {
+        let mut c = two_node_cluster();
+        let src = c.alloc_buffers(0, ByteSize::mib(1));
+        let dst = c.alloc_buffers(1, ByteSize::mib(1));
+        for i in 0..8u64 {
+            let (qa, qb) = c.connect_shared(0, 1);
+            c.post_recv(1, qb, 100 + i, dst, 1 << 20);
+            c.post_send(
+                0,
+                qa,
+                i,
+                SendOp::Send {
+                    local: src,
+                    len: 256 * 1024,
+                },
+            );
+        }
+        c.run_until_quiescent(10_000_000);
+        (
+            c.drain_completions(0),
+            c.drain_completions(1),
+            c.now(),
+            c.queue_stats(),
+        )
+    }
+
+    #[test]
+    fn qps_blocked_on_one_fault_wake_in_a_fixed_order() {
+        let first = shared_cold_buffer_run();
+        assert_eq!(first.0.len(), 8, "send completions");
+        assert_eq!(first.1.len(), 8, "recv completions");
+        assert!(first.0.iter().all(|c| c.status == WcStatus::Success));
+        // A second cluster built in the same process gets fresh maps;
+        // its completion stream must not differ by one event.
+        for _ in 0..3 {
+            assert_eq!(shared_cold_buffer_run(), first);
+        }
+    }
+
+    #[test]
+    fn queue_stats_balance_after_a_run() {
+        let (_, _, _, (scheduled, popped, cancelled, pending)) = shared_cold_buffer_run();
+        assert!(popped > 0 && cancelled > 0, "run exercised the queue");
+        assert_eq!(pending, 0, "quiescent");
+        assert_eq!(scheduled, popped + cancelled + pending as u64);
     }
 }
