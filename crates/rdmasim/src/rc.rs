@@ -666,7 +666,13 @@ impl RcQp {
     /// as parked at the receiver. Every unsacked hole at or above
     /// `expected` is queued for selective retransmission exactly once
     /// per recovery round.
-    fn on_selective_ack(&mut self, now: SimTime, expected: u64, bitmap: u64, out: &mut Vec<QpOutput>) {
+    fn on_selective_ack(
+        &mut self,
+        now: SimTime,
+        expected: u64,
+        bitmap: u64,
+        out: &mut Vec<QpOutput>,
+    ) {
         self.stats.sacks_received += 1;
         if expected > 0 {
             self.on_ack(now, expected - 1, out);
@@ -846,9 +852,7 @@ impl RcQp {
             // data at one BDP (IRN's replacement for PFC back-pressure).
             let window = match self.cfg.transport {
                 RdmaTransport::GoBackN => self.cfg.window_packets,
-                RdmaTransport::SelectiveRepeat => {
-                    self.cfg.window_packets.min(self.cfg.bdp_packets)
-                }
+                RdmaTransport::SelectiveRepeat => self.cfg.window_packets.min(self.cfg.bdp_packets),
             };
             if self.inflight.len() as u64 >= window {
                 break;
@@ -1153,10 +1157,7 @@ impl RcQp {
     /// as the expected PSN is missing or a packet fails to make progress
     /// (e.g. its scatter DMA faulted and an RNR flushed the park).
     fn drain_parked(&mut self, now: SimTime, gate: &mut dyn DmaGate, out: &mut Vec<QpOutput>) {
-        loop {
-            let Some(pkt) = self.ooo.remove(&self.epsn) else {
-                break;
-            };
+        while let Some(pkt) = self.ooo.remove(&self.epsn) {
             let before = self.epsn;
             self.responder_path(now, pkt, gate, out);
             if self.epsn == before {
@@ -1567,7 +1568,10 @@ mod tests {
         );
         assert_eq!(ca.len(), 1);
         assert_eq!(cb.len(), 1);
-        assert!(a.stats().rnr_retransmits >= 1, "RNR rewind books separately");
+        assert!(
+            a.stats().rnr_retransmits >= 1,
+            "RNR rewind books separately"
+        );
         assert_eq!(a.stats().retransmits, 0, "no loss happened");
     }
 

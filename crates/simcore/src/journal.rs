@@ -1045,10 +1045,22 @@ mod tests {
     #[test]
     fn absorb_rebases_ids_and_seq_in_task_order() {
         let mut a = JournalRecorder::new();
-        record_fault(&mut a, 1, 0, 0, [1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        record_fault(
+            &mut a,
+            1,
+            0,
+            0,
+            [1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        );
         a.mark_at(SimTime::from_nanos(1), MarkKind::IotlbFill, 7);
         let mut b = JournalRecorder::new();
-        record_fault(&mut b, 1, 1, 50, [0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        record_fault(
+            &mut b,
+            1,
+            1,
+            50,
+            [0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        );
         b.mark_at(SimTime::from_nanos(51), MarkKind::BackingFetch, 9);
 
         let mut merged = JournalRecorder::new();
@@ -1074,8 +1086,20 @@ mod tests {
         j.set_watchdog(JournalWatchdog {
             budget: SimDuration::from_nanos(100),
         });
-        record_fault(&mut j, 1, 3, 0, [0, 0, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0, 0, 0]); // under
-        record_fault(&mut j, 2, 4, 0, [0, 200, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0, 0, 0]); // over
+        record_fault(
+            &mut j,
+            1,
+            3,
+            0,
+            [0, 0, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        ); // under
+        record_fault(
+            &mut j,
+            2,
+            4,
+            0,
+            [0, 200, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        ); // over
         assert_eq!(j.slo_hits().len(), 1);
         let hit = j.slo_hits()[0];
         assert_eq!(hit.cause.tenant, 4);
@@ -1141,9 +1165,27 @@ mod tests {
     #[test]
     fn attribution_report_groups_tenants_in_order() {
         let mut j = JournalRecorder::new();
-        record_fault(&mut j, 1, 1, 0, [0, 0, 0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
-        record_fault(&mut j, 2, 0, 0, [0, 0, 0, 0, 0, 300, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
-        record_fault(&mut j, 3, 0, 0, [0, 0, 0, 0, 0, 200, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        record_fault(
+            &mut j,
+            1,
+            1,
+            0,
+            [0, 0, 0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        );
+        record_fault(
+            &mut j,
+            2,
+            0,
+            0,
+            [0, 0, 0, 0, 0, 300, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        );
+        record_fault(
+            &mut j,
+            3,
+            0,
+            0,
+            [0, 0, 0, 0, 0, 200, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        );
         let report = j.attribution_report();
         let t0 = report.find("\n      0 ").expect("tenant 0 row");
         let t1 = report.find("\n      1 ").expect("tenant 1 row");
@@ -1274,7 +1316,11 @@ mod tests {
         w.set_watchdog(JournalWatchdog {
             budget: SimDuration::from_nanos(10),
         });
-        w.wait_event(Phase::RetransmitWait, SimTime::ZERO, SimTime::from_nanos(500));
+        w.wait_event(
+            Phase::RetransmitWait,
+            SimTime::ZERO,
+            SimTime::from_nanos(500),
+        );
         assert!(w.slo_hits().is_empty());
     }
 }
