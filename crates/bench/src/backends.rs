@@ -7,9 +7,10 @@
 //! and tallies each run into one deterministic cell. The differential
 //! is the point: workload progress must hold across backends while the
 //! servicing counters swap columns (firmware events vs bounce-buffer
-//! traffic vs unexpected-fault accounting). Cells shard across
-//! backends and seeds via [`crate::par_runner`], so `--jobs N`
-//! produces byte-identical output to a serial run; the JSON the binary
+//! traffic vs unexpected-fault accounting). The cells (one per backend
+//! and seed) fan out over the executor
+//! ([`simcore::shard::run_isolated`]), so `--jobs N` produces
+//! byte-identical output to a serial run; the JSON the binary
 //! commits (`BENCH_backend.json`) carries only simulation-
 //! deterministic tallies, never wall-clock.
 

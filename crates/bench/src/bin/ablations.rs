@@ -1,30 +1,18 @@
 //! Ablations of the paper's design choices.
 //!
-//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` /
-//! `--shards <n>` (see `--help`; sharded figures are byte-identical
-//! at every shard count).
-use npf_bench::par_runner::task;
+//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` (see
+//! `--help`; output is byte-identical at every worker count).
+use simcore::shard::task;
 
 fn main() {
     npf_bench::tracectl::RunOpts::init(&[]);
     let tasks = vec![
-        task("ablation_batching", npf_bench::ablations::ablation_batching),
-        task(
-            "ablation_firmware_bypass",
-            npf_bench::ablations::ablation_firmware_bypass,
-        ),
-        task(
-            "ablation_concurrency",
-            npf_bench::ablations::ablation_concurrency,
-        ),
-        task("ablation_pindown_sweep", || {
-            npf_bench::ablations::ablation_pindown_sweep(30)
-        }),
-        task("ablation_read_rnr", npf_bench::ablations::ablation_read_rnr),
-        task(
-            "ablation_prefaulting",
-            npf_bench::ablations::ablation_prefaulting,
-        ),
+        task(npf_bench::ablations::ablation_batching),
+        task(npf_bench::ablations::ablation_firmware_bypass),
+        task(npf_bench::ablations::ablation_concurrency),
+        task(|| npf_bench::ablations::ablation_pindown_sweep(30)),
+        task(npf_bench::ablations::ablation_read_rnr),
+        task(npf_bench::ablations::ablation_prefaulting),
     ];
     npf_bench::tracectl::run_tasks(tasks, |reports| {
         for (i, r) in reports.iter().enumerate() {

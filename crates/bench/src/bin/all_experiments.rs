@@ -1,52 +1,34 @@
 //! Runs every experiment (E1-E12 plus ablations) and prints the full
 //! report document — the source of `EXPERIMENTS.md`.
 //!
-//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` /
-//! `--shards <n>` (see `--help`; sharded figures are byte-identical
-//! at every shard count).
-use npf_bench::par_runner::task;
+//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` (see
+//! `--help`; output is byte-identical at every worker count).
+use simcore::shard::task;
 
 fn main() {
     npf_bench::tracectl::RunOpts::init(&[]);
     let t0 = std::time::Instant::now();
     let tasks = vec![
-        task("fig3", || npf_bench::micro::fig3(500)),
-        task("fig3_traced", || npf_bench::micro::fig3_traced(500)),
-        task("table4", || npf_bench::micro::table4(3000)),
-        task("fig4a", || npf_bench::eth_experiments::fig4a(20)),
-        task("fig4b", || npf_bench::eth_experiments::fig4b(10_000, 150)),
-        task("table5", || npf_bench::eth_experiments::table5(4)),
-        task("fig7", || npf_bench::eth_experiments::fig7(30, 10)),
-        task("fig8a", || npf_bench::ib_experiments::fig8a(4000)),
-        task("fig8b", || npf_bench::ib_experiments::fig8b(1500)),
-        task("fig9", || npf_bench::ib_experiments::fig9(30, 8)),
-        task("fig9_allreduce", || {
-            npf_bench::ib_experiments::fig9_allreduce(30, 8)
-        }),
-        task("table6", || npf_bench::ib_experiments::table6(20, 8)),
-        task("fig10_ethernet", || {
-            npf_bench::ib_experiments::fig10_ethernet(500)
-        }),
-        task("fig10_infiniband", || {
-            npf_bench::ib_experiments::fig10_infiniband(3000)
-        }),
-        task("ablation_batching", npf_bench::ablations::ablation_batching),
-        task(
-            "ablation_firmware_bypass",
-            npf_bench::ablations::ablation_firmware_bypass,
-        ),
-        task(
-            "ablation_concurrency",
-            npf_bench::ablations::ablation_concurrency,
-        ),
-        task("ablation_pindown_sweep", || {
-            npf_bench::ablations::ablation_pindown_sweep(30)
-        }),
-        task("ablation_read_rnr", npf_bench::ablations::ablation_read_rnr),
-        task(
-            "ablation_prefaulting",
-            npf_bench::ablations::ablation_prefaulting,
-        ),
+        task(|| npf_bench::micro::fig3(500)),
+        task(|| npf_bench::micro::fig3_traced(500)),
+        task(|| npf_bench::micro::table4(3000)),
+        task(|| npf_bench::eth_experiments::fig4a(20)),
+        task(|| npf_bench::eth_experiments::fig4b(10_000, 150)),
+        task(|| npf_bench::eth_experiments::table5(4)),
+        task(|| npf_bench::eth_experiments::fig7(30, 10)),
+        task(|| npf_bench::ib_experiments::fig8a(4000)),
+        task(|| npf_bench::ib_experiments::fig8b(1500)),
+        task(|| npf_bench::ib_experiments::fig9(30, 8)),
+        task(|| npf_bench::ib_experiments::fig9_allreduce(30, 8)),
+        task(|| npf_bench::ib_experiments::table6(20, 8)),
+        task(|| npf_bench::ib_experiments::fig10_ethernet(500)),
+        task(|| npf_bench::ib_experiments::fig10_infiniband(3000)),
+        task(npf_bench::ablations::ablation_batching),
+        task(npf_bench::ablations::ablation_firmware_bypass),
+        task(npf_bench::ablations::ablation_concurrency),
+        task(|| npf_bench::ablations::ablation_pindown_sweep(30)),
+        task(npf_bench::ablations::ablation_read_rnr),
+        task(npf_bench::ablations::ablation_prefaulting),
     ];
     npf_bench::tracectl::run_tasks(tasks, |reports| {
         for r in &reports {

@@ -1,7 +1,7 @@
 //! ODP backend differential: the identical Ethernet scenario run
 //! under the firmware NPF path, the NP-RDMA-style software emulation,
-//! and the pinned baseline, sharded across seeds via the parallel
-//! runner.
+//! and the pinned baseline, with the per-seed cells fanned over the
+//! executor.
 //!
 //! Flags (all via `tracectl::RunOpts`):
 //!
@@ -12,13 +12,11 @@
 //! * `--check <path>`: compare this run's cells against a committed
 //!   artifact and exit 1 on any drift. Only simulation-deterministic
 //!   tallies are compared — wall-clock never enters the file.
-//! * `--jobs <n>`: worker threads; output is byte-identical at every
-//!   value.
-
-use std::sync::Mutex;
+//! * `--jobs <n>` (alias `--shards <n>`): worker threads; output is
+//!   byte-identical at every value.
 
 use npf_bench::backends::{self, BackendCell};
-use npf_bench::par_runner::task;
+use simcore::shard::{run_isolated, task};
 
 fn main() {
     let opts = npf_bench::tracectl::RunOpts::init(&["out", "check"]);
@@ -29,38 +27,23 @@ fn main() {
         None => backends::SWEEP_BACKENDS.to_vec(),
     };
 
-    let n_cells = backend_kinds.len() * backends::SWEEP_SEEDS.len();
-    let cells: &'static Mutex<Vec<Option<BackendCell>>> =
-        Box::leak(Box::new(Mutex::new(vec![None; n_cells])));
-    let mut tasks = Vec::with_capacity(n_cells);
-    let mut slot = 0usize;
-    for &backend in &backend_kinds {
-        for &seed in backends::SWEEP_SEEDS {
-            let idx = slot;
-            slot += 1;
-            tasks.push(task("backend_cell", move || {
-                let cell = backends::run_cell(backend, seed);
-                cells.lock().expect("cell slots")[idx] = Some(cell);
-                npf_bench::Report::new("", "")
-            }));
-        }
-    }
-
-    npf_bench::tracectl::run_tasks(tasks, |_reports| {
-        let cells = cells.lock().expect("cell slots");
-        let cells: Vec<BackendCell> = cells
-            .iter()
-            .map(|c| c.expect("every task fills its slot"))
-            .collect();
-        print!("{}", backends::render_report(&cells).render());
-    });
-
-    let cells: Vec<BackendCell> = cells
-        .lock()
-        .expect("cell slots")
+    let combos: Vec<_> = backend_kinds
         .iter()
-        .map(|c| c.expect("every task fills its slot"))
+        .flat_map(|&backend| {
+            backends::SWEEP_SEEDS
+                .iter()
+                .map(move |&seed| (backend, seed))
+        })
         .collect();
+    let cells: Vec<BackendCell> = npf_bench::tracectl::run(|| {
+        let tasks = combos
+            .iter()
+            .map(|&(backend, seed)| task(move || backends::run_cell(backend, seed)))
+            .collect();
+        let cells = run_isolated(tasks, opts.jobs, npf_bench::tracectl::isolation_spec());
+        print!("{}", backends::render_report(&cells).render());
+        cells
+    });
 
     if let Some(path) = check_path {
         let baseline = match std::fs::read_to_string(&path) {

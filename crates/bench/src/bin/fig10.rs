@@ -1,19 +1,14 @@
 //! Regenerates Figure 10: what-if analysis with synthetic rNPFs.
 //!
-//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` /
-//! `--shards <n>` (see `--help`; sharded figures are byte-identical
-//! at every shard count).
-use npf_bench::par_runner::task;
+//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` (see
+//! `--help`; output is byte-identical at every worker count).
+use simcore::shard::task;
 
 fn main() {
     npf_bench::tracectl::RunOpts::init(&[]);
     let tasks = vec![
-        task("fig10_ethernet", || {
-            npf_bench::ib_experiments::fig10_ethernet(500)
-        }),
-        task("fig10_infiniband", || {
-            npf_bench::ib_experiments::fig10_infiniband(3000)
-        }),
+        task(|| npf_bench::ib_experiments::fig10_ethernet(500)),
+        task(|| npf_bench::ib_experiments::fig10_infiniband(3000)),
     ];
     npf_bench::tracectl::run_tasks(tasks, |reports| {
         for (i, r) in reports.iter().enumerate() {

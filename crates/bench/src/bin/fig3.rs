@@ -2,16 +2,13 @@
 //!
 //! Pass `--trace <path>` to record a Perfetto-loadable Chrome trace of
 //! the run, and/or `--metrics <path>` for the flat metrics registry.
-use npf_bench::par_runner::task;
+use simcore::shard::task;
 
 fn main() {
     npf_bench::tracectl::RunOpts::init(&[]);
-    npf_bench::tracectl::run_tasks(
-        vec![task("fig3", || npf_bench::micro::fig3(500))],
-        |reports| {
-            for r in &reports {
-                print!("{}", r.render());
-            }
-        },
-    );
+    npf_bench::tracectl::run_tasks(vec![task(|| npf_bench::micro::fig3(500))], |reports| {
+        for r in &reports {
+            print!("{}", r.render());
+        }
+    });
 }

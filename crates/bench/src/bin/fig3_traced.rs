@@ -5,12 +5,12 @@
 //!
 //! Pass `--trace <path>` to also export the recorded spans as a
 //! Perfetto-loadable Chrome trace.
-use npf_bench::par_runner::task;
+use simcore::shard::task;
 
 fn main() {
     npf_bench::tracectl::RunOpts::init(&[]);
     npf_bench::tracectl::run_tasks(
-        vec![task("fig3_traced", || npf_bench::micro::fig3_traced(500))],
+        vec![task(|| npf_bench::micro::fig3_traced(500))],
         |reports| {
             for r in &reports {
                 print!("{}", r.render());

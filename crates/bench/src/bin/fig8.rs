@@ -1,15 +1,14 @@
 //! Regenerates Figure 8: storage bandwidth and memory usage.
 //!
-//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` /
-//! `--shards <n>` (see `--help`; sharded figures are byte-identical
-//! at every shard count).
-use npf_bench::par_runner::task;
+//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` (see
+//! `--help`; output is byte-identical at every worker count).
+use simcore::shard::task;
 
 fn main() {
     npf_bench::tracectl::RunOpts::init(&[]);
     let tasks = vec![
-        task("fig8a", || npf_bench::ib_experiments::fig8a(4000)),
-        task("fig8b", || npf_bench::ib_experiments::fig8b(1500)),
+        task(|| npf_bench::ib_experiments::fig8a(4000)),
+        task(|| npf_bench::ib_experiments::fig8b(1500)),
     ];
     npf_bench::tracectl::run_tasks(tasks, |reports| {
         for (i, r) in reports.iter().enumerate() {

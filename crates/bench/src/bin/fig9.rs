@@ -1,18 +1,15 @@
 //! Regenerates Figure 9: IMB collectives under each registration
 //! strategy.
 //!
-//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` /
-//! `--shards <n>` (see `--help`; sharded figures are byte-identical
-//! at every shard count).
-use npf_bench::par_runner::task;
+//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` (see
+//! `--help`; output is byte-identical at every worker count).
+use simcore::shard::task;
 
 fn main() {
     npf_bench::tracectl::RunOpts::init(&[]);
     let tasks = vec![
-        task("fig9", || npf_bench::ib_experiments::fig9(30, 8)),
-        task("fig9_allreduce", || {
-            npf_bench::ib_experiments::fig9_allreduce(30, 8)
-        }),
+        task(|| npf_bench::ib_experiments::fig9(30, 8)),
+        task(|| npf_bench::ib_experiments::fig9_allreduce(30, 8)),
     ];
     npf_bench::tracectl::run_tasks(tasks, |reports| {
         for (i, r) in reports.iter().enumerate() {

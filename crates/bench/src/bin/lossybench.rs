@@ -1,7 +1,7 @@
 //! Lossy-fabric transport differential: the identical cold-ring
 //! incast run under {lossless + PFC, 0.01%–1% random loss} × {go-back-N,
-//! IRN-style selective repeat} × {firmware, softemu, pinned}, sharded
-//! across the sweep via the isolated shard pool.
+//! IRN-style selective repeat} × {firmware, softemu, pinned}, with the
+//! cells fanned over the executor ([`simcore::shard::run_isolated`]).
 //!
 //! Flags (all via `tracectl::RunOpts`):
 //!
@@ -14,13 +14,13 @@
 //! * `--check <path>`: compare this run's cells against a committed
 //!   artifact and exit 1 on any drift. Only simulation-deterministic
 //!   tallies are compared — wall-clock never enters the file.
-//! * `--jobs <n>` / `--shards <n>`: cells are independent coupling
-//!   groups, so both flags name the same cell-level pool (the larger
-//!   wins); output is byte-identical at every value.
+//! * `--jobs <n>` (alias `--shards <n>`): worker threads for the cell
+//!   pool; output is byte-identical at every value.
 
 use netsim::profile::{FabricProfile, RdmaTransport};
 use npf_bench::lossy::{self, LossyCell};
 use npf_core::BackendKind;
+use simcore::shard::task;
 
 fn main() {
     let opts = npf_bench::tracectl::RunOpts::init(&["out", "check"]);
@@ -38,10 +38,6 @@ fn main() {
         Some(k) => vec![k],
         None => lossy::SWEEP_BACKENDS.to_vec(),
     };
-    // Each cell is one coupling group; --jobs and --shards both name
-    // the same cell-level pool here, so the larger wins.
-    let workers = opts.jobs.max(opts.shards);
-
     let mut combos: Vec<(FabricProfile, RdmaTransport, BackendKind)> = Vec::new();
     for p in lossy::sweep_profiles() {
         for &t in &transports {
@@ -56,11 +52,10 @@ fn main() {
             combos
                 .iter()
                 .map(|&(profile, transport, backend)| {
-                    Box::new(move || lossy::run_cell(profile, transport, backend))
-                        as Box<dyn FnOnce() -> LossyCell + Send>
+                    task(move || lossy::run_cell(profile, transport, backend))
                 })
                 .collect(),
-            workers,
+            opts.jobs,
             npf_bench::tracectl::isolation_spec(),
         )
     });

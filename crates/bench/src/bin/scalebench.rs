@@ -14,12 +14,13 @@
 //!   artifact and exit 1 on any drift. Only simulation-deterministic
 //!   tallies are compared — wall-clock lands in the separate
 //!   `timings` array, never in the checked cell lines.
-//! * `--jobs <n>` / `--shards <n>`: worker threads for the cell pool
-//!   (the larger of the two wins; each cell is one coupling group).
-//!   Output is byte-identical at every value of either flag.
+//! * `--jobs <n>` (alias `--shards <n>`): worker threads for the cell
+//!   pool (each cell is one coupling group). Output is byte-identical
+//!   at every value.
 
 use npf_bench::scale::{self, ScaleCell};
 use npf_core::ArbiterPolicy;
+use simcore::shard::task;
 
 fn main() {
     let opts = npf_bench::tracectl::RunOpts::init(&["out", "check"]);
@@ -35,10 +36,6 @@ fn main() {
         Some(t) => vec![t],
         None => scale::SWEEP_TENANTS.to_vec(),
     };
-    // Each cell is one coupling group; --jobs and --shards both name
-    // the same cell-level pool here, so the larger wins.
-    let workers = opts.jobs.max(opts.shards);
-
     let combos: Vec<(u32, u64)> = tenant_counts
         .iter()
         .flat_map(|&t| scale::SWEEP_SEEDS.iter().map(move |&s| (t, s)))
@@ -49,17 +46,17 @@ fn main() {
             combos
                 .iter()
                 .map(|&(tenants, seed)| {
-                    Box::new(move || {
+                    task(move || {
                         let t0 = std::time::Instant::now();
                         let cell = scale::run_cell(tenants, seed, policy, quota);
                         (
                             cell,
                             u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX),
                         )
-                    }) as Box<dyn FnOnce() -> (ScaleCell, u64) + Send>
+                    })
                 })
                 .collect(),
-            workers,
+            opts.jobs,
             npf_bench::tracectl::isolation_spec(),
         )
     });

@@ -1,18 +1,14 @@
 //! Regenerates Table 4: tail latency of NPFs.
 //!
-//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` /
-//! `--shards <n>` (see `--help`; sharded figures are byte-identical
-//! at every shard count).
-use npf_bench::par_runner::task;
+//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` (see
+//! `--help`; output is byte-identical at every worker count).
+use simcore::shard::task;
 
 fn main() {
     npf_bench::tracectl::RunOpts::init(&[]);
-    npf_bench::tracectl::run_tasks(
-        vec![task("table4", || npf_bench::micro::table4(3000))],
-        |reports| {
-            for r in &reports {
-                print!("{}", r.render());
-            }
-        },
-    );
+    npf_bench::tracectl::run_tasks(vec![task(|| npf_bench::micro::table4(3000))], |reports| {
+        for r in &reports {
+            print!("{}", r.render());
+        }
+    });
 }

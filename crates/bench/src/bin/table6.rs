@@ -1,14 +1,13 @@
 //! Regenerates Table 6: effective communication bandwidth (beff).
 //!
-//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` /
-//! `--shards <n>` (see `--help`; sharded figures are byte-identical
-//! at every shard count).
-use npf_bench::par_runner::task;
+//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` (see
+//! `--help`; output is byte-identical at every worker count).
+use simcore::shard::task;
 
 fn main() {
     npf_bench::tracectl::RunOpts::init(&[]);
     npf_bench::tracectl::run_tasks(
-        vec![task("table6", || npf_bench::ib_experiments::table6(20, 8))],
+        vec![task(|| npf_bench::ib_experiments::table6(20, 8))],
         |reports| {
             for r in &reports {
                 print!("{}", r.render());

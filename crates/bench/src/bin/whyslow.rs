@@ -16,8 +16,8 @@
 //!   committed golden copy and exit 1 on drift.
 //! * `--journal <path>`: additionally write the merged journal as
 //!   Chrome flow-event JSON (Perfetto-loadable).
-//! * `--jobs <n>`: worker threads; the artifact is byte-identical at
-//!   every value.
+//! * `--jobs <n>` (alias `--shards <n>`): worker threads; the artifact
+//!   is byte-identical at every value.
 
 use npf_bench::{tracectl, whyslow};
 use npf_core::ArbiterPolicy;
@@ -44,7 +44,7 @@ fn main() {
         SimDuration::from_micros(us)
     });
 
-    let (journal, outcome) = whyslow::run_scenario(
+    let (journal, violations) = whyslow::run_scenario(
         tenants,
         whyslow::DEFAULT_SEEDS,
         policy,
@@ -73,11 +73,8 @@ fn main() {
         }
     }
 
-    if outcome.violations > 0 {
-        eprintln!(
-            "whyslow: {} invariant violation(s) under chaos",
-            outcome.violations
-        );
+    if violations > 0 {
+        eprintln!("whyslow: {violations} invariant violation(s) under chaos");
         std::process::exit(1);
     }
 

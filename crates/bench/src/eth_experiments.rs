@@ -1,6 +1,7 @@
 //! E4–E7: the Ethernet memcached experiments (Figure 4, Table 5,
 //! Figure 7).
 
+use simcore::shard::{task, Task};
 use simcore::time::SimTime;
 use simcore::units::ByteSize;
 use testbed::eth::{EthConfig, EthTestbed, RxMode};
@@ -8,14 +9,14 @@ use workloads::memcached::MemcachedConfig;
 
 use crate::report::{f, Report};
 
-/// Runs independent testbed closures on the `--shards` pool (each is
-/// one coupling group; see [`simcore::shard`]). Results come back in
-/// task order and instrumentation is absorbed deterministically, so
-/// every experiment is byte-identical at any shard count.
-fn sharded<T: Send>(tasks: Vec<Box<dyn FnOnce() -> T + Send + '_>>) -> Vec<T> {
+/// Runs independent testbed closures on the `--jobs` pool (each is one
+/// coupling group; see [`simcore::shard`]). Results come back in task
+/// order and instrumentation is absorbed deterministically, so every
+/// experiment is byte-identical at any worker count.
+fn sharded<T: Send>(tasks: Vec<Task<'_, T>>) -> Vec<T> {
     simcore::shard::run_isolated(
         tasks,
-        crate::tracectl::shards(),
+        crate::tracectl::jobs(),
         crate::tracectl::isolation_spec(),
     )
 }
@@ -51,12 +52,12 @@ pub fn fig4a(horizon_secs: u64) -> Report {
     );
     r.columns(["t[s]", "pin[KTPS]", "backup[KTPS]", "drop[KTPS]"]);
     // Three independent testbeds (one per rx mode) — three coupling
-    // groups for the shard pool.
+    // groups for the pool.
     let series = sharded(
         [RxMode::Pin, RxMode::Backup, RxMode::Drop]
             .into_iter()
             .map(|mode| {
-                Box::new(move || {
+                task(move || {
                     let mut bed = EthTestbed::new(base_config(mode)).expect("setup");
                     bed.start_sampling();
                     bed.run_until(SimTime::from_secs(horizon_secs));
@@ -64,7 +65,7 @@ pub fn fig4a(horizon_secs: u64) -> Report {
                         bed.metrics()[0].ops.series().points().to_vec(),
                         bed.total_failed_conns(),
                     )
-                }) as Box<dyn FnOnce() -> (Vec<(SimTime, f64)>, u32) + Send>
+                })
             })
             .collect(),
     );
@@ -125,7 +126,7 @@ pub fn fig4b(ops: u64, deadline_secs: u64) -> Report {
             .into_iter()
             .flat_map(|ring| MODES.into_iter().map(move |mode| (ring, mode)))
             .map(|(ring, mode)| {
-                Box::new(move || {
+                task(move || {
                     let mut cfg = base_config(mode);
                     cfg.ring_entries = ring;
                     cfg.bm_size = ring * 2;
@@ -139,7 +140,7 @@ pub fn fig4b(ops: u64, deadline_secs: u64) -> Report {
                         None if bed.total_failed_conns() > 0 => "FAILED".to_owned(),
                         None => format!(">{deadline_secs}"),
                     }
-                }) as Box<dyn FnOnce() -> String + Send>
+                })
             })
             .collect(),
     );
@@ -170,7 +171,7 @@ pub fn table5(measure_secs: u64) -> Report {
                     .map(move |m| (n, m))
             })
             .map(|(n, mode)| {
-                Box::new(move || {
+                task(move || {
                     let mut cfg = base_config(mode);
                     cfg.instances = n;
                     match EthTestbed::new(cfg) {
@@ -184,7 +185,7 @@ pub fn table5(measure_secs: u64) -> Report {
                         }
                         Err(_) => "N/A".to_owned(),
                     }
-                }) as Box<dyn FnOnce() -> String + Send>
+                })
             })
             .collect(),
     );
@@ -248,10 +249,7 @@ pub fn fig7(total_secs: u64, swap_at: u64) -> Report {
     };
 
     // Two independent testbeds (NPF vs pinned) — two coupling groups.
-    let mut results = sharded(vec![
-        Box::new(|| run(false)) as Box<dyn FnOnce() -> (HitSeries, HitSeries) + Send>,
-        Box::new(|| run(true)),
-    ]);
+    let mut results = sharded(vec![task(|| run(false)), task(|| run(true))]);
     let (pin_a, pin_b) = results.pop().expect("two tasks");
     let (npf_a, npf_b) = results.pop().expect("two tasks");
 

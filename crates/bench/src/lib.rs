@@ -19,7 +19,6 @@ pub mod eth_experiments;
 pub mod ib_experiments;
 pub mod lossy;
 pub mod micro;
-pub mod par_runner;
 pub mod report;
 pub mod scale;
 pub mod tracectl;

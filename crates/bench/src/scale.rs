@@ -4,8 +4,9 @@
 //! IOchannels — Zipf-skewed connection allocation, cross-channel fault
 //! arbitration, per-tenant backup-ring quotas — and tallies the
 //! per-tenant counters into one deterministic cell per (tenant count,
-//! seed) pair. Cells shard across seeds via [`crate::par_runner`], so
-//! `--jobs N` produces byte-identical output to a serial run; the JSON
+//! seed) pair. The cells fan out over the executor
+//! ([`simcore::shard::run_isolated`]), so `--jobs N` produces
+//! byte-identical output to a serial run; the JSON
 //! the binary commits (`BENCH_scale.json`) carries only
 //! simulation-deterministic tallies, never wall-clock.
 
@@ -19,9 +20,8 @@ use workloads::memcached::MemcachedConfig;
 use crate::report::Report;
 
 /// The tenant counts a full sweep visits. The 1024- and 2048-tenant
-/// cells exist because the sharded engine made them practical: cells
-/// are independent coupling groups, so `--shards N` runs them
-/// concurrently with byte-identical output.
+/// cells are practical because cells are independent coupling groups,
+/// so `--jobs N` runs them concurrently with byte-identical output.
 pub const SWEEP_TENANTS: &[u32] = &[16, 32, 64, 128, 256, 512, 1024, 2048];
 
 /// The seeds each tenant count is sharded across.

@@ -20,16 +20,14 @@
 //!   `network`, `interrupts`, `npf`, `memory`, `iommu`, `all`
 //!   (default `all`). Binaries that support chaos pass the config into
 //!   their testbeds; a failing run prints the seed for replay.
-//! * `--jobs <n>` (or `--jobs=<n>`): run the binary's experiment
-//!   points across `n` worker threads via [`crate::par_runner`]
-//!   ([`run_tasks`]). `0` means "all available cores". Output is
-//!   byte-identical at every job count.
-//! * `--shards <n>` (or `--shards=<n>`): shard *within* an experiment
-//!   point — independent coupling groups (testbeds, scalebench cells)
-//!   run on `n` workers via [`simcore::shard::run_isolated`] with
-//!   deterministic instrumentation absorption. `0` means "all
-//!   available cores"; default 1 reproduces the serial path exactly.
-//!   Output is byte-identical at every shard count.
+//! * `--jobs <n>` (or `--jobs=<n>`): the worker count of the one
+//!   executor, [`simcore::shard::run_isolated`]. [`run_tasks`] fans a
+//!   binary's experiment points over it, and the experiment drivers fan
+//!   a figure's independent testbeds over it; a pool nested in a worker
+//!   gets only that worker's share, so at most `n` simulations are
+//!   live. `0` means "all available cores"; absent means 1. Output is
+//!   byte-identical at every count. `--shards <n>` is an alias; given
+//!   both, the larger wins.
 //! * `--tenants <n>` / `--arbiter <policy>` / `--quota <entries>`:
 //!   multi-tenant scale knobs — tenant count, cross-channel fault
 //!   arbitration policy (`channel`, `rr`, `wfq`), and per-tenant
@@ -71,6 +69,7 @@ use npf_core::npf::NpfConfig;
 use npf_core::{ArbiterPolicy, BackendKind};
 use simcore::chaos::{invariant, ChaosConfig, ChaosProfile, InvariantChecker};
 use simcore::journal::{self, JournalRecorder};
+use simcore::shard::Task;
 use simcore::trace::{self, TraceRecorder};
 use simcore::units::ByteSize;
 
@@ -146,11 +145,9 @@ pub struct RunOpts {
     pub journal: Option<PathBuf>,
     /// `--chaos-seed` / `--chaos-profile`: fault injection, if asked.
     pub chaos: Option<ChaosConfig>,
-    /// `--jobs <n>` worker threads; absent → 1, `0` → all cores.
+    /// `--jobs <n>` (alias `--shards <n>`; the larger wins when both
+    /// are given) executor workers; absent → 1, `0` → all cores.
     pub jobs: usize,
-    /// `--shards <n>` intra-run shard workers; absent → 1, `0` → all
-    /// cores.
-    pub shards: usize,
     /// `--tenants <n>`: tenant/IOchannel count for scale sweeps.
     pub tenants: Option<u32>,
     /// `--arbiter <policy>`: cross-channel fault arbitration policy
@@ -196,12 +193,10 @@ fn usage(bin: &str, extra: &[&str]) -> String {
          \x20 --chaos-seed <n>       enable fault injection with seed n\n\
          \x20 --chaos-profile <p>    chaos profile: network, interrupts, npf, memory,\n\
          \x20                        iommu, all (default all)\n\
-         \x20 --jobs <n>             run experiment points on n workers (0 = all\n\
-         \x20                        cores); output is byte-identical at any n\n\
-         \x20 --shards <n>           shard within each experiment point: independent\n\
-         \x20                        testbeds run on n workers with deterministic\n\
-         \x20                        epoch/instrumentation merging (0 = all cores);\n\
-         \x20                        output is byte-identical at any n\n\
+         \x20 --jobs <n>             run independent experiment points and testbeds\n\
+         \x20                        on n workers (0 = all cores); output is\n\
+         \x20                        byte-identical at any n\n\
+         \x20 --shards <n>           alias of --jobs (the larger wins if both given)\n\
          \x20 --tenants <n>          tenant/IO-channel count for scale sweeps\n\
          \x20 --arbiter <policy>     cross-channel fault arbitration: channel, rr, wfq\n\
          \x20 --quota <entries>      per-tenant backup-ring quota\n\
@@ -322,32 +317,20 @@ impl RunOpts {
                 seed.unwrap_or(0),
             ))
         };
-        let jobs = match values.remove("jobs") {
-            None => 1,
-            Some(v) => {
+        // `--shards` is an alias of `--jobs`; given both, the larger wins.
+        let mut jobs = 1;
+        for flag in ["jobs", "shards"] {
+            if let Some(v) = values.remove(flag) {
                 let n = v
                     .parse::<usize>()
-                    .map_err(|e| format!("--jobs must be an integer: {e}"))?;
-                if n == 0 {
+                    .map_err(|e| format!("--{flag} must be an integer: {e}"))?;
+                jobs = jobs.max(if n == 0 {
                     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
                 } else {
                     n
-                }
+                });
             }
-        };
-        let shards = match values.remove("shards") {
-            None => 1,
-            Some(v) => {
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|e| format!("--shards must be an integer: {e}"))?;
-                if n == 0 {
-                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-                } else {
-                    n
-                }
-            }
-        };
+        }
         let tenants = values
             .remove("tenants")
             .map(|v| {
@@ -438,7 +421,6 @@ impl RunOpts {
             journal,
             chaos,
             jobs,
-            shards,
             tenants,
             arbiter,
             quota,
@@ -545,30 +527,14 @@ pub fn chaos_or_disabled() -> ChaosConfig {
     chaos_config().unwrap_or_else(ChaosConfig::disabled)
 }
 
-/// Parses `--jobs <n>` from argv-style arguments. Absent → 1 (serial);
-/// `0` → all available cores.
-fn jobs_from_args<I: IntoIterator<Item = String>>(args: I) -> usize {
-    let Some(raw) = flag_value(args, "jobs") else {
-        return 1;
-    };
-    let n = raw
-        .to_string_lossy()
-        .parse::<usize>()
-        .unwrap_or_else(|e| panic!("--jobs must be an integer: {e}"));
-    if n == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        n
-    }
-}
-
-/// The worker count requested with `--jobs`, defaulting to 1.
+/// The executor worker count: [`with_shards`]'s override on this
+/// thread, else `--jobs` (or its alias `--shards`), defaulting to 1.
 #[must_use]
 pub fn jobs() -> usize {
-    if let Some(opts) = RunOpts::get() {
-        return opts.jobs;
-    }
-    jobs_from_args(std::env::args().skip(1))
+    JOBS_OVERRIDE
+        .with(std::cell::Cell::get)
+        .or_else(|| RunOpts::get().map(|opts| opts.jobs))
+        .unwrap_or(1)
 }
 
 /// Parses an on/off switch value (`on`, `true`, `1` / `off`, `false`,
@@ -582,7 +548,7 @@ fn parse_switch(v: &str) -> Option<bool> {
 }
 
 thread_local! {
-    static SHARDS_OVERRIDE: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+    static JOBS_OVERRIDE: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
     /// `(huge_pages, prefetch_depth, tier_mib)` forced by
     /// [`with_mem_features`] on this thread.
     static MEM_FEATURES_OVERRIDE: std::cell::Cell<Option<(bool, u32, Option<u64>)>> =
@@ -713,47 +679,23 @@ pub fn transport_config() -> TransportConfig {
     TransportConfig::default().with_transport(transport)
 }
 
-/// Runs `body` with [`shards`] forced to `n` on this thread —
-/// `enginebench` uses this to time the same figure at several shard
+/// Runs `body` with [`jobs`] forced to `n` on this thread —
+/// `enginebench` uses this to time the same figure at several worker
 /// counts inside one process.
 pub fn with_shards<R>(n: usize, body: impl FnOnce() -> R) -> R {
-    let prev = SHARDS_OVERRIDE.with(|c| c.replace(Some(n)));
+    let prev = JOBS_OVERRIDE.with(|c| c.replace(Some(n)));
     let out = body();
-    SHARDS_OVERRIDE.with(|c| c.set(prev));
+    JOBS_OVERRIDE.with(|c| c.set(prev));
     out
 }
 
-/// The intra-run shard count requested with `--shards`, defaulting to 1
-/// (serial; byte-identical to every other value). `0` → all cores.
-#[must_use]
-pub fn shards() -> usize {
-    if let Some(n) = SHARDS_OVERRIDE.with(std::cell::Cell::get) {
-        return n;
-    }
-    if let Some(opts) = RunOpts::get() {
-        return opts.shards;
-    }
-    let Some(raw) = flag_value(std::env::args().skip(1), "shards") else {
-        return 1;
-    };
-    let n = raw
-        .to_string_lossy()
-        .parse::<usize>()
-        .unwrap_or_else(|e| panic!("--shards must be an integer: {e}"));
-    if n == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        n
-    }
-}
-
 /// Builds the [`simcore::shard::IsolationSpec`] matching whatever
-/// instrumentation is installed on the **current** thread, so a shard
-/// pool reproduces the caller's environment per LP: recording when the
+/// instrumentation is installed on the **current** thread, so a pool
+/// reproduces the caller's environment per task: recording when the
 /// caller records, checking under the caller's chaos seed, journaling
-/// (with the caller's watchdog) when the caller journals. Shard workers
-/// run each LP under fresh instruments built from this spec; the pool
-/// absorbs them back into the caller's in LP order.
+/// (with the caller's watchdog) when the caller journals. Each task
+/// runs under fresh instruments built from this spec; the pool absorbs
+/// them back into the caller's in task order.
 #[must_use]
 pub fn isolation_spec() -> simcore::shard::IsolationSpec {
     simcore::shard::IsolationSpec {
@@ -877,36 +819,27 @@ fn finish_journal(j: &JournalRecorder, path: &Path, violated: bool) {
     write_or_warn(path, "fault journal", &contents);
 }
 
-/// Uninstalls the chaos invariant checker (when one was installed),
-/// runs its end-of-run predicates, and reports. Returns `true` when
-/// any invariant was violated.
-fn finish_chaos(chaos: Option<ChaosConfig>) -> bool {
-    let Some(cfg) = chaos else {
-        return false;
-    };
-    let checker = invariant::uninstall().expect("checker installed by run()");
-    report_chaos(
-        cfg,
-        checker.outstanding_faults() as u64,
-        checker.violations().len() as u64,
-        checker.checks(),
-    )
-}
-
-/// Prints the end-of-run chaos verdict. Returns `true` when any
-/// invariant was violated.
+/// Uninstalls the chaos invariant checker (when one was installed) —
+/// by now it has absorbed every pool task's checker — and prints the
+/// end-of-run verdict. Returns `true` when any invariant was violated.
 ///
 /// Experiments stop at a wall-clock horizon, not at quiescence, so
 /// in-flight NPFs at the cut are expected — report them as context,
 /// not as `finish()`'s liveness violation (the sweep tests, which do
 /// hunt a quiescent cut, assert that predicate instead).
-fn report_chaos(cfg: ChaosConfig, outstanding: u64, violations: u64, checks: u64) -> bool {
+fn finish_chaos(chaos: Option<ChaosConfig>) -> bool {
+    let Some(cfg) = chaos else {
+        return false;
+    };
+    let checker = invariant::uninstall().expect("checker installed by run()");
+    let outstanding = checker.outstanding_faults();
     if outstanding > 0 {
         eprintln!(
             "chaos seed {}: {outstanding} NPFs still in flight at the horizon",
             cfg.seed
         );
     }
+    let violations = checker.violations().len();
     if violations > 0 {
         eprintln!(
             "chaos seed {}: {violations} invariant violation(s) — replay with --chaos-seed {}",
@@ -915,68 +848,31 @@ fn report_chaos(cfg: ChaosConfig, outstanding: u64, violations: u64, checks: u64
         return true;
     }
     eprintln!(
-        "chaos seed {}: no invariant violations ({checks} checks)",
-        cfg.seed
+        "chaos seed {}: no invariant violations ({} checks)",
+        cfg.seed,
+        checker.checks()
     );
     false
 }
 
-/// Runs a binary's experiment points through [`crate::par_runner`] with
-/// everything argv asks for — `--jobs` workers, per-task chaos
-/// checkers, per-task trace recorders — then hands the reports (in
-/// task order) to `emit` for printing and settles trace export and the
-/// chaos verdict exactly like [`run`]: stdout first, chaos verdict on
-/// stderr, trace/metrics files, then a nonzero exit on violation.
+/// Runs a binary's experiment points on the executor with everything
+/// argv asks for — `--jobs` workers, per-task chaos checkers, trace
+/// recorders and journals absorbed into the ones [`run`] installs —
+/// then hands the reports (in task order) to `emit` for printing and
+/// settles exactly like [`run`]: stdout first, chaos verdict on
+/// stderr, trace/metrics/journal files, then a nonzero exit on
+/// violation.
 ///
-/// The merge is deterministic in task order, so a binary's stdout,
-/// trace file, and metrics file are byte-identical at every `--jobs`
-/// value.
-pub fn run_tasks(tasks: Vec<crate::par_runner::Task>, emit: impl FnOnce(Vec<crate::Report>)) {
-    let chaos = chaos_config();
-    let trace_to = trace_path();
-    let metrics_to = metrics_path();
-    let journal_to = journal_path();
-    let record = trace_to.is_some() || metrics_to.is_some();
-    let journal_spec = journal_to
-        .is_some()
-        .then(crate::par_runner::JournalSpec::default);
-    let outcome =
-        crate::par_runner::run(tasks, jobs(), chaos, record, DEFAULT_CAPACITY, journal_spec);
-    emit(outcome.reports);
-    let violated = chaos.is_some_and(|cfg| {
-        report_chaos(
-            cfg,
-            outcome.outstanding_faults,
-            outcome.violations,
-            outcome.checks,
-        )
+/// The absorb is in task order, so a binary's stdout and exported
+/// files are byte-identical at every `--jobs` value.
+pub fn run_tasks(tasks: Vec<Task<'static, crate::Report>>, emit: impl FnOnce(Vec<crate::Report>)) {
+    run(|| {
+        emit(simcore::shard::run_isolated(
+            tasks,
+            jobs(),
+            isolation_spec(),
+        ))
     });
-    if let Some(recorder) = outcome.recorder {
-        if let Some(path) = trace_to {
-            if recorder.dropped() > 0 {
-                eprintln!(
-                    "trace ring wrapped: {} oldest records dropped",
-                    recorder.dropped()
-                );
-            }
-            write_or_warn(&path, "chrome trace", &recorder.export_chrome_json());
-        }
-        if let Some(path) = metrics_to {
-            let is_csv = path.extension().is_some_and(|e| e == "csv");
-            let contents = if is_csv {
-                recorder.metrics().to_csv()
-            } else {
-                recorder.metrics().to_json()
-            };
-            write_or_warn(&path, "metrics", &contents);
-        }
-    }
-    if let (Some(path), Some(j)) = (journal_to.as_deref(), outcome.journal.as_ref()) {
-        finish_journal(j, path, violated);
-    }
-    if violated {
-        std::process::exit(1);
-    }
 }
 
 #[cfg(test)]
@@ -1030,8 +926,6 @@ mod tests {
                 "--trace=/tmp/t.json",
                 "--metrics",
                 "/tmp/m.csv",
-                "--jobs=4",
-                "--shards=2",
                 "--tenants",
                 "256",
                 "--arbiter=wfq",
@@ -1049,8 +943,6 @@ mod tests {
         .expect("all standard flags");
         assert_eq!(opts.trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(opts.metrics, Some(PathBuf::from("/tmp/m.csv")));
-        assert_eq!(opts.jobs, 4);
-        assert_eq!(opts.shards, 2);
         assert_eq!(opts.tenants, Some(256));
         assert_eq!(opts.arbiter, Some(ArbiterPolicy::WeightedFair));
         assert_eq!(opts.quota, Some(64));
@@ -1059,6 +951,17 @@ mod tests {
         assert!(opts.huge_pages);
         assert_eq!(opts.prefetch, 16);
         assert_eq!(opts.tier_mib, Some(2048));
+    }
+
+    #[test]
+    fn shards_is_an_alias_of_jobs_and_the_larger_wins() {
+        let jobs = |args: &[&str]| RunOpts::parse(&argv(args), &[]).expect("worker flags").jobs;
+        assert_eq!(jobs(&["--jobs=4"]), 4);
+        assert_eq!(jobs(&["--shards", "4"]), 4);
+        assert_eq!(jobs(&["--jobs=4", "--shards=2"]), 4);
+        assert_eq!(jobs(&["--jobs=1", "--shards=3"]), 3);
+        let bad = RunOpts::parse(&argv(&["--shards", "many"]), &[]).unwrap_err();
+        assert!(bad.contains("--shards must be an integer"), "{bad}");
     }
 
     #[test]
@@ -1139,7 +1042,6 @@ mod tests {
         assert!(opts.chaos.is_none());
         assert!(!opts.chaos_or_disabled().enabled());
         assert_eq!(opts.jobs, 1);
-        assert_eq!(opts.shards, 1);
         assert_eq!(opts.tenants, None);
         assert_eq!(opts.arbiter, None);
         assert_eq!(opts.quota, None);

@@ -11,11 +11,11 @@
 //! and `--check` pins it against a committed golden copy.
 
 use npf_core::ArbiterPolicy;
-use simcore::chaos::ChaosConfig;
-use simcore::journal::{JournalRecorder, JournalWatchdog};
+use simcore::chaos::{invariant, ChaosConfig, InvariantChecker};
+use simcore::journal::{self, JournalRecorder, JournalWatchdog};
+use simcore::shard::{run_isolated, task, IsolationSpec};
 use simcore::time::SimDuration;
 
-use crate::par_runner::{self, task, JournalSpec};
 use crate::scale;
 
 /// The seeds a whyslow run shards across (matching the scale sweep).
@@ -45,13 +45,14 @@ pub fn scenario_tenants(name: &str) -> Result<u32, String> {
 }
 
 /// Runs the scenario's cells — one task per seed, each an independent
-/// [`scale::run_cell`] with its own journal — and returns the merged
-/// journal plus the chaos tallies from the runner.
+/// [`scale::run_cell`] with its own journal (and, under chaos, its own
+/// invariant checker) — and returns the journals merged in task order
+/// plus the invariant violations the checkers found.
 ///
 /// # Panics
 ///
-/// Panics when the runner fails to return the requested journal — a
-/// whyslow bug, not an input error.
+/// Panics when the calling thread already has a fault journal or an
+/// invariant checker installed: the merged ones are installed here.
 #[must_use]
 pub fn run_scenario(
     tenants: u32,
@@ -60,22 +61,46 @@ pub fn run_scenario(
     budget: Option<SimDuration>,
     jobs: usize,
     chaos: Option<ChaosConfig>,
-) -> (JournalRecorder, par_runner::RunOutcome) {
-    let tasks: Vec<par_runner::Task> = seeds
+) -> (JournalRecorder, usize) {
+    let watchdog = budget.map(|budget| JournalWatchdog { budget });
+    let mut merged = JournalRecorder::new();
+    if let Some(w) = watchdog {
+        merged.set_watchdog(w);
+    }
+    assert!(
+        journal::install(merged).is_none(),
+        "journal already installed"
+    );
+    if let Some(cfg) = chaos {
+        let checker = InvariantChecker::new(cfg.seed);
+        assert!(
+            invariant::install(checker).is_none(),
+            "checker already installed"
+        );
+    }
+    let tasks = seeds
         .iter()
         .map(|&seed| {
-            task("whyslow_cell", move || {
+            task(move || {
                 let _ = scale::run_cell_chaos(tenants, seed, policy, Some(16), chaos);
-                crate::Report::new("", "")
             })
         })
         .collect();
-    let spec = JournalSpec {
-        watchdog: budget.map(|budget| JournalWatchdog { budget }),
+    let spec = IsolationSpec {
+        chaos_seed: chaos.map(|cfg| cfg.seed),
+        journal: true,
+        watchdog,
+        ..IsolationSpec::none()
     };
-    let mut outcome = par_runner::run(tasks, jobs, chaos, false, 1 << 16, Some(spec));
-    let journal = outcome.journal.take().expect("journal requested above");
-    (journal, outcome)
+    run_isolated(tasks, jobs, spec);
+    let violations = chaos.map_or(0, |_| {
+        let checker = invariant::uninstall().expect("checker installed above");
+        checker.violations().len()
+    });
+    (
+        journal::uninstall().expect("journal installed above"),
+        violations,
+    )
 }
 
 /// Faults whose phase sums disagree with their end-to-end latency.
@@ -123,7 +148,7 @@ mod tests {
 
     #[test]
     fn small_scenario_attributes_every_fault_exactly() {
-        let (journal, outcome) = run_scenario(
+        let (journal, violations) = run_scenario(
             SMALL_TENANTS,
             &[1],
             ArbiterPolicy::WeightedFair,
@@ -131,7 +156,7 @@ mod tests {
             1,
             None,
         );
-        assert_eq!(outcome.reports.len(), 1);
+        assert_eq!(violations, 0);
         assert!(!journal.faults().is_empty(), "cold rings must fault");
         assert_eq!(exact_sum_violations(&journal), 0);
         assert_eq!(journal.unbalanced_faults(), 0);

@@ -1231,40 +1231,59 @@ pub mod invariant {
     static NAMESPACES: AtomicU64 = AtomicU64::new(1);
 
     thread_local! {
-        /// When set, `fresh_namespace` draws from this thread-local
-        /// counter instead of the process-global one — the sharded
-        /// executor scopes each task to a deterministic base so the
-        /// salted ids in violation reports don't depend on which
-        /// worker constructed which testbed first.
-        static NS_NEXT: std::cell::Cell<Option<u64>> =
+        /// When set, `(next, end)` of the thread's scoped namespace
+        /// range: `fresh_namespace` draws from it instead of the
+        /// process-global counter, so the executor can make the salted
+        /// ids in violation reports a function of the task rather than
+        /// of which worker constructed which testbed first.
+        static NS_SCOPE: std::cell::Cell<Option<(u64, u64)>> =
             const { std::cell::Cell::new(None) };
     }
 
-    /// Allocates a fresh note-key namespace: from the thread's scoped
-    /// allocator inside [`with_namespace_base`], else from the
-    /// process-global counter.
+    /// Allocates a fresh note-key namespace: from the range the
+    /// executor ([`crate::shard`]) scoped the current task to, else from
+    /// the process-global counter.
     #[must_use]
     pub fn fresh_namespace() -> u64 {
-        if let Some(next) = NS_NEXT.with(std::cell::Cell::get) {
-            NS_NEXT.with(|c| c.set(Some(next + 1)));
-            return next;
-        }
-        NAMESPACES.fetch_add(1, Ordering::Relaxed)
+        reserve_namespaces(1).unwrap_or_else(|| NAMESPACES.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Runs `f` with namespaces allocated sequentially from `base`.
+    /// Reserves `count` consecutive namespaces from the thread's scoped
+    /// range and returns the first, or `None` outside any
+    /// [`with_namespaces`] scope. A pool nested inside an executor task
+    /// carves its tasks' ranges out of the enclosing task's this way,
+    /// so nested bases compose instead of restarting at the top-level
+    /// ones.
     ///
-    /// The sharded executor calls this with a base derived from the
-    /// task index, so namespace assignment — and with it every salted
-    /// fault/frame/domain id a violation report can mention — is a
-    /// function of the task, not of worker scheduling. Bases are
-    /// spaced `1 << 20` apart, far above what one task can construct,
-    /// and far above what the global counter reaches in practice, so
-    /// scoped and global allocations never collide.
-    pub fn with_namespace_base<R>(base: u64, f: impl FnOnce() -> R) -> R {
-        let prev = NS_NEXT.with(|c| c.replace(Some(base)));
+    /// # Panics
+    ///
+    /// Panics when the scope has fewer than `count` namespaces left:
+    /// handing out an id twice would let two testbeds alias each
+    /// other's faults and frames inside one checker.
+    pub(crate) fn reserve_namespaces(count: u64) -> Option<u64> {
+        NS_SCOPE.with(|c| {
+            let (next, end) = c.get()?;
+            assert!(
+                end - next >= count,
+                "invariant namespace scope exhausted: {count} wanted, {} left",
+                end - next
+            );
+            c.set(Some((next + count, end)));
+            Some(next)
+        })
+    }
+
+    /// Runs `f` with namespaces allocated sequentially from `range`.
+    ///
+    /// The executor (`simcore::shard`) gives each task a disjoint range
+    /// derived from its index, so namespace assignment is a function of
+    /// the task, not of worker scheduling. Top-level ranges start at
+    /// `1 << 20`, far above what the global counter reaches in
+    /// practice, so scoped and global allocations never collide.
+    pub(crate) fn with_namespaces<R>(range: std::ops::Range<u64>, f: impl FnOnce() -> R) -> R {
+        let prev = NS_SCOPE.with(|c| c.replace(Some((range.start, range.end))));
         let r = f();
-        NS_NEXT.with(|c| c.set(prev));
+        NS_SCOPE.with(|c| c.set(prev));
         r
     }
 

@@ -1,64 +1,62 @@
-//! Conservative parallel simulation: domain-sharded logical processes
-//! with deterministic epoch synchronization.
+//! The executor: independent simulations fanned over a worker pool,
+//! with output byte-identical at every worker count.
 //!
-//! The engine parallelizes a run at the granularity of **coupling
-//! groups**: sets of domains that share zero-lookahead state (a host
-//! memory pool, a fault arbiter, a backup ring, the link queues of a
-//! testbed) and therefore must advance as one logical process (LP).
-//! Only the fabric — links with a propagation delay of at least the
-//! configured lookahead — is a legal shard boundary, because a message
-//! sent at `t` cannot affect its destination before `t + lookahead`.
-//!
-//! Two execution shapes share this module:
-//!
-//! * [`run_isolated`] — LPs that exchange **no** messages (independent
-//!   testbeds of one experiment, scalebench cells). Each runs to
-//!   completion on a worker pool; instrumentation is installed per LP
-//!   and absorbed in LP order, so output is byte-identical at any
-//!   `--shards N` (and `N = 1` runs inline, reproducing the serial
-//!   path exactly).
-//! * [`run_epochs`] — LPs coupled through a latency-`lookahead` fabric.
-//!   A conservative epoch loop: every epoch starts at the global
-//!   minimum next-event time (`barrier`), each LP advances freely to
-//!   `epoch_end = barrier + lookahead` processing only events with
-//!   `time < epoch_end` (events exactly **on** the horizon wait for the
-//!   next epoch), and cross-LP messages are exchanged at the barrier,
-//!   delivered in `(time, src, seq)` order. Scheduling, worker count,
-//!   and OS timing never reach the event order.
+//! Every evaluation artifact fans out over independent testbeds (a
+//! figure's load points, a table's rows, a scalebench cell, a bench
+//! binary's experiment points). Each such task is one **coupling
+//! group**: everything inside it (host memory pool, fault arbiter,
+//! backup rings, link queues) interacts within a single event dispatch
+//! and runs on one thread, while tasks exchange no events at all.
+//! [`run_isolated`] runs them on `workers` threads and returns their
+//! results in task order.
 //!
 //! # Determinism contract
 //!
-//! Both shapes install fresh thread-local instrumentation
-//! ([`trace`]/[`journal`]/[`invariant`]) around each LP slice on
-//! whichever worker runs it, and absorb the collected state into the
-//! caller's installed instruments strictly in LP order after all
-//! workers join — the same discipline `bench::par_runner` applies to
-//! experiment points. Nothing about thread interleaving is observable.
+//! * **Fresh instruments per task.** Every task runs under fresh
+//!   thread-local instruments ([`trace`]/[`journal`]/[`invariant`])
+//!   built from an [`IsolationSpec`] — at every worker count, including
+//!   1 — and the collected state is absorbed into the caller's
+//!   installed instruments strictly in task order after all tasks
+//!   finish. Per-task recorder clocks, journal cause state and checker
+//!   timelines therefore never leak between tasks on any path.
+//! * **Namespaces per task.** Task `i` draws its invariant-note
+//!   namespaces (the salts of fault/frame/domain ids) from a range
+//!   derived from `i`, never from the process-global counter. A pool
+//!   nested inside another pool's task carves its tasks' ranges out of
+//!   the enclosing task's, so ids stay distinct across every level
+//!   absorbed into one checker.
+//! * **At most `workers` threads.** A pool of `w` spawned workers,
+//!   asked for `workers`, gives each worker a share of `workers / w`.
+//!   A pool reached from inside a worker (a figure's testbeds inside a
+//!   bench binary's experiment point) uses at most that share, and
+//!   runs its tasks inline when the share is one, so nested fan-out
+//!   keeps the live simulations at `workers`, not `workers²`. Inline
+//!   execution is the same code path, so the bytes do not change.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use crate::chaos::{invariant, InvariantChecker};
 use crate::journal::{self, JournalRecorder, JournalWatchdog};
-use crate::time::{SimDuration, SimTime};
 use crate::trace::{self, TraceRecorder};
 
-/// What instrumentation each LP (or isolated task) runs under.
+/// What instrumentation each task runs under.
 ///
-/// Mirrors the caller's own environment: a bench task running with
-/// `--trace --chaos-seed 7` hands its shard pool the same spec so every
-/// LP records into a private recorder/checker that is later absorbed.
+/// Mirrors the caller's own environment: a bench binary running with
+/// `--trace --chaos-seed 7` hands its pool the same spec so every task
+/// records into a private recorder/checker that is later absorbed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IsolationSpec {
-    /// Give each LP a fresh [`TraceRecorder`] (absorbed in LP order).
+    /// Give each task a fresh [`TraceRecorder`] (absorbed in task order).
     pub record: bool,
-    /// Ring capacity for per-LP recorders.
+    /// Ring capacity for per-task recorders.
     pub ring_capacity: usize,
-    /// Give each LP a fresh [`InvariantChecker`] with this seed.
+    /// Give each task a fresh [`InvariantChecker`] with this seed.
     pub chaos_seed: Option<u64>,
-    /// Give each LP a fresh [`JournalRecorder`].
+    /// Give each task a fresh [`JournalRecorder`].
     pub journal: bool,
-    /// Watchdog armed on each per-LP journal.
+    /// Watchdog armed on each per-task journal.
     pub watchdog: Option<JournalWatchdog>,
 }
 
@@ -70,17 +68,8 @@ impl IsolationSpec {
     }
 }
 
-/// Instruments displaced by an [`Instruments::install`], restored by
-/// the matching `uninstall`.
-#[derive(Debug, Default)]
-struct Swapped {
-    recorder: Option<TraceRecorder>,
-    checker: Option<InvariantChecker>,
-    journal: Option<JournalRecorder>,
-}
-
-/// Per-LP instrumentation state, carried across epochs and absorbed at
-/// the end of the run.
+/// One task's instruments: installed around its body, then absorbed
+/// into the caller's.
 #[derive(Debug, Default)]
 struct Instruments {
     recorder: Option<TraceRecorder>,
@@ -103,20 +92,15 @@ impl Instruments {
         }
     }
 
-    /// Installs this LP's instruments on the current thread, returning
-    /// whatever was installed before (the caller's own instruments when
-    /// running on the caller's thread; nothing on a fresh worker).
-    fn install(&mut self) -> Swapped {
-        Swapped {
-            recorder: self.recorder.take().and_then(trace::install),
-            checker: self.checker.take().and_then(invariant::install),
-            journal: self.journal.take().and_then(journal::install),
-        }
-    }
-
-    /// Takes the instruments back off the current thread and restores
-    /// whatever [`Instruments::install`] displaced.
-    fn uninstall(&mut self, spec: IsolationSpec, swapped: Swapped) {
+    /// Runs `body` with these instruments installed on the current
+    /// thread, then takes them back off and restores whatever they
+    /// displaced (the caller's own instruments when running inline;
+    /// nothing on a fresh worker).
+    fn around<R>(&mut self, spec: IsolationSpec, body: impl FnOnce() -> R) -> R {
+        let recorder = self.recorder.take().and_then(trace::install);
+        let checker = self.checker.take().and_then(invariant::install);
+        let journal = self.journal.take().and_then(journal::install);
+        let out = body();
         if spec.journal {
             self.journal = Some(journal::uninstall().expect("journal installed"));
         }
@@ -126,19 +110,20 @@ impl Instruments {
         if spec.record {
             self.recorder = Some(trace::uninstall().expect("recorder installed"));
         }
-        if let Some(r) = swapped.recorder {
+        if let Some(r) = recorder {
             trace::install(r);
         }
-        if let Some(c) = swapped.checker {
+        if let Some(c) = checker {
             invariant::install(c);
         }
-        if let Some(j) = swapped.journal {
+        if let Some(j) = journal {
             journal::install(j);
         }
+        out
     }
 
-    /// Folds this LP's collected state into the caller's installed
-    /// instruments. Call in LP order from the coordinating thread.
+    /// Folds this task's collected state into the caller's installed
+    /// instruments. Call in task order from the caller's thread.
     fn absorb_into_caller(self) {
         if let Some(rec) = self.recorder {
             trace::with(|mine| mine.absorb(rec));
@@ -152,93 +137,79 @@ impl Instruments {
     }
 }
 
-/// Deterministic invariant-namespace base for task `i`: testbeds a
-/// task constructs draw their note-key namespaces from here (via
-/// [`invariant::with_namespace_base`]), so the salted ids violation
-/// reports mention depend on the task index, never on which worker
-/// constructed which testbed first.
-fn ns_base(i: usize) -> u64 {
-    (i as u64 + 1) << 20
+/// Namespaces each task of a top-level pool may draw: task `i` owns
+/// `[(i + 1) << 20, (i + 2) << 20)`.
+const TOP_LEVEL_NAMESPACES: u64 = 1 << 20;
+
+/// Namespaces each task of a nested pool may draw, carved out of the
+/// enclosing task's range — far more than one testbed constructs.
+const NESTED_NAMESPACES: u64 = 1 << 12;
+
+/// The first namespace of task 0 and the span each task owns, for a
+/// pool of `n` tasks started on the current thread.
+fn namespace_layout(n: usize) -> (u64, u64) {
+    match invariant::reserve_namespaces(n as u64 * NESTED_NAMESPACES) {
+        Some(first) => (first, NESTED_NAMESPACES),
+        None => (TOP_LEVEL_NAMESPACES, TOP_LEVEL_NAMESPACES),
+    }
 }
 
-/// A boxed isolated task, as [`run_isolated`] consumes them.
+thread_local! {
+    /// On a thread spawned by [`run_isolated`]: its share of the
+    /// workers its pool was asked for, the most a pool nested in its
+    /// tasks may use.
+    static WORKER_SHARE: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// A boxed task, as [`run_isolated`] consumes them.
 pub type Task<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
+
+/// Boxes a closure into a [`Task`].
+#[must_use]
+pub fn task<'a, T>(f: impl FnOnce() -> T + Send + 'a) -> Task<'a, T> {
+    Box::new(f)
+}
 
 /// Hardware threads available to this process (1 when unknown).
 fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// The worker count a pool actually uses for `requested` shards over
-/// `tasks` work items on a host with `host` hardware threads.
-///
-/// Beyond the obvious clamp to `[1, tasks]`, a single-hardware-thread
-/// host always runs inline: spawned workers would time-slice the one
-/// core the caller's thread already owns, so the pool pays spawn,
-/// mutex, and scheduling overhead to execute the exact same serial
-/// order (output is byte-identical either way — the per-task
-/// instrument isolation does not depend on worker count — so only
-/// wall-clock changes). This is the `fig4a_shards4` fix: on 1-core CI
-/// runners, `--shards 4` used to run slower than `--shards 1` for no
-/// benefit.
+/// The worker count a pool actually uses for `requested` workers over
+/// `tasks` tasks on a host with `host` hardware threads: `requested`
+/// clamped to `[1, tasks]`, and always 1 on a single-hardware-thread
+/// host, where spawned workers would only time-slice the one core the
+/// caller already owns.
 #[must_use]
-pub fn effective_shards(requested: usize, tasks: usize, host: usize) -> usize {
+pub fn effective_workers(requested: usize, tasks: usize, host: usize) -> usize {
     if host <= 1 {
         return 1;
     }
     requested.clamp(1, tasks.max(1))
 }
 
-/// Runs independent closures on a pool of `shards` workers and returns
+/// Runs independent tasks on a pool of `workers` threads and returns
 /// their results in task order.
 ///
-/// The message-free fast path of the sharded engine: each task is one
-/// coupling group (a whole testbed, a scalebench cell) with no
-/// cross-group events, so no epoch synchronization is needed — only
-/// deterministic instrumentation handling:
-///
-/// Every task runs under **fresh** instruments built from `spec` —
-/// at every shard count, including 1 — and the collected state is
-/// absorbed into the caller's installed instruments in task order
-/// after all tasks finish (the discipline `bench::par_runner` applies
-/// to experiment points). That construction, not luck, is what makes
-/// `--shards N` byte-identical to `--shards 1`: per-task recorder
-/// clocks, journal cause state, and checker timelines never leak
-/// between tasks on any path.
-///
-/// `shards <= 1` executes the tasks sequentially on the caller's own
-/// thread (no spawns); `shards > 1` fans them over scoped workers —
-/// except on a single-hardware-thread host, where the pool always runs
-/// inline (see [`effective_shards`]).
+/// Called from a pool worker, the pool uses at most that worker's
+/// share of its own pool's request. One worker runs the tasks on the
+/// caller's thread without spawning. See the module docs for the
+/// determinism contract.
 pub fn run_isolated<T: Send>(
     tasks: Vec<Task<'_, T>>,
-    shards: usize,
+    workers: usize,
     spec: IsolationSpec,
 ) -> Vec<T> {
     let n = tasks.len();
-    let shards = effective_shards(shards, n, host_parallelism());
-    if shards <= 1 {
-        let mut results = Vec::with_capacity(n);
-        let mut collected = Vec::with_capacity(n);
-        for (i, task) in tasks.into_iter().enumerate() {
-            let mut instruments = Instruments::fresh(spec);
-            let swapped = instruments.install();
-            results.push(invariant::with_namespace_base(ns_base(i), task));
-            instruments.uninstall(spec, swapped);
-            collected.push(instruments);
-        }
-        for instruments in collected {
-            instruments.absorb_into_caller();
-        }
-        return results;
-    }
-    struct Done<T> {
-        result: T,
-        instruments: Instruments,
-    }
+    let requested = WORKER_SHARE
+        .with(Cell::get)
+        .map_or(workers, |share| workers.min(share));
+    let workers = effective_workers(requested, n, host_parallelism());
+    let share = (requested / workers).max(1);
+    let (first_ns, ns_span) = namespace_layout(n);
     let inputs: Vec<Mutex<Option<Task<'_, T>>>> =
         tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let outputs: Vec<Mutex<Option<Done<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let outputs: Vec<Mutex<Option<(T, Instruments)>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     let worker = || loop {
         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -250,640 +221,150 @@ pub fn run_isolated<T: Send>(
             .expect("task slot poisoned")
             .take()
             .expect("claimed exactly once");
+        let base = first_ns + i as u64 * ns_span;
         let mut instruments = Instruments::fresh(spec);
-        let swapped = instruments.install();
-        let result = invariant::with_namespace_base(ns_base(i), task);
-        instruments.uninstall(spec, swapped);
-        *outputs[i].lock().expect("result slot poisoned") = Some(Done {
-            result,
-            instruments,
+        let result = instruments.around(spec, || {
+            invariant::with_namespaces(base..base + ns_span, task)
         });
+        *outputs[i].lock().expect("result slot poisoned") = Some((result, instruments));
     };
-    std::thread::scope(|s| {
-        for _ in 0..shards {
-            s.spawn(worker);
-        }
-    });
-    let mut results = Vec::with_capacity(n);
-    for slot in outputs {
-        let done = slot
-            .into_inner()
-            .expect("result slot poisoned")
-            .expect("worker loop fills every slot");
-        done.instruments.absorb_into_caller();
-        results.push(done.result);
-    }
-    results
-}
-
-/// A cross-shard message in flight: scheduled to arrive at `at` on LP
-/// `dst`, stamped with its sender and a per-sender sequence number so
-/// the global delivery order `(at, src, seq)` is total and independent
-/// of worker scheduling.
-#[derive(Debug)]
-pub struct Envelope<M> {
-    /// Arrival time at the destination (≥ epoch end, by lookahead).
-    pub at: SimTime,
-    /// Sending LP index.
-    pub src: usize,
-    /// Per-sender sequence number (FIFO among same-instant sends).
-    pub seq: u64,
-    /// Destination LP index.
-    pub dst: usize,
-    /// Payload.
-    pub msg: M,
-}
-
-/// Per-LP staging area for cross-shard messages produced during one
-/// epoch. Exchanged and drained at the epoch barrier.
-#[derive(Debug)]
-pub struct Outbox<M> {
-    src: usize,
-    seq: u64,
-    msgs: Vec<Envelope<M>>,
-}
-
-impl<M> Outbox<M> {
-    fn new(src: usize) -> Self {
-        Outbox {
-            src,
-            seq: 0,
-            msgs: Vec::new(),
-        }
-    }
-
-    /// Sends `msg` to LP `dst`, arriving at absolute time `at`. The
-    /// arrival must respect the fabric lookahead: `at` may not precede
-    /// the end of the epoch in which the send happens (checked at the
-    /// barrier).
-    pub fn send(&mut self, dst: usize, at: SimTime, msg: M) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.msgs.push(Envelope {
-            at,
-            src: self.src,
-            seq,
-            dst,
-            msg,
-        });
-    }
-
-    /// Messages staged so far this epoch.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.msgs.len()
-    }
-
-    /// `true` when nothing is staged.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
-    }
-}
-
-/// One logical process of a sharded run: a coupling group advancing on
-/// its own event queue, exchanging messages with other LPs only through
-/// the latency-bounded fabric.
-pub trait ShardLp: Send {
-    /// Cross-shard message payload.
-    type Msg: Send;
-
-    /// Timestamp of the LP's next local event, if any.
-    fn next_event_time(&self) -> Option<SimTime>;
-
-    /// Processes every local event with timestamp **strictly below**
-    /// `horizon`, staging any cross-shard sends in `outbox`. An event
-    /// exactly on the horizon must be left pending — it belongs to the
-    /// next epoch (the epoch-edge rule the conformance tests pin down).
-    fn advance(&mut self, horizon: SimTime, outbox: &mut Outbox<Self::Msg>);
-
-    /// Accepts a message from another LP, scheduling it locally at
-    /// `at`. The executor guarantees `at` is not in the LP's past.
-    fn deliver(&mut self, at: SimTime, msg: Self::Msg);
-}
-
-/// Outcome of an epoch-synchronized run.
-#[derive(Debug)]
-pub struct EpochReport<L> {
-    /// The LPs, in their original order, advanced to the horizon.
-    pub lps: Vec<L>,
-    /// Epochs executed.
-    pub epochs: u64,
-    /// Cross-shard messages exchanged.
-    pub messages: u64,
-}
-
-/// Runs coupled LPs to `until` under conservative epoch synchronization
-/// with fixed `lookahead` (the minimum fabric latency between any two
-/// LPs), on `shards` workers.
-///
-/// Every epoch: `barrier = min(next_event_time)` over all LPs,
-/// `epoch_end = min(barrier + lookahead, until)`; each LP advances to
-/// `epoch_end` in parallel; staged messages are merged in
-/// `(at, src, seq)` order and delivered. The loop ends when no LP has
-/// an event before `until`. Events exactly at `until` stay pending.
-///
-/// # Panics
-///
-/// Panics when a staged message violates the lookahead contract
-/// (arrival before the end of its sending epoch) — that means two LPs
-/// actually share zero-lookahead state and belong in one coupling
-/// group.
-pub fn run_epochs<L: ShardLp>(
-    lps: Vec<L>,
-    lookahead: SimDuration,
-    until: SimTime,
-    shards: usize,
-    spec: IsolationSpec,
-) -> EpochReport<L> {
-    assert!(
-        lookahead > SimDuration::ZERO,
-        "zero lookahead cannot shard: the LPs form one coupling group"
-    );
-    struct Cell<L: ShardLp> {
-        lp: L,
-        instruments: Instruments,
-        outbox: Outbox<L::Msg>,
-    }
-    let n = lps.len();
-    let shards = effective_shards(shards, n, host_parallelism());
-    let cells: Vec<Mutex<Cell<L>>> = lps
-        .into_iter()
-        .enumerate()
-        .map(|(i, lp)| {
-            Mutex::new(Cell {
-                lp,
-                instruments: Instruments::fresh(spec),
-                outbox: Outbox::new(i),
-            })
-        })
-        .collect();
-
-    let mut epochs = 0u64;
-    let mut messages = 0u64;
-
-    // One advance of every LP to `horizon`, fanned over the pool. The
-    // claiming order is racy; the per-LP instruments travel with the
-    // claim, so nothing observable depends on it.
-    let advance_all = |horizon: SimTime| {
-        let cursor = AtomicUsize::new(0);
-        let worker = || loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                return;
-            }
-            let mut cell = cells[i].lock().expect("cell poisoned");
-            let swapped = cell.instruments.install();
-            let Cell { lp, outbox, .. } = &mut *cell;
-            lp.advance(horizon, outbox);
-            cell.instruments.uninstall(spec, swapped);
-        };
-        if shards == 1 {
-            worker();
-        } else {
-            std::thread::scope(|s| {
-                for _ in 0..shards {
-                    s.spawn(worker);
-                }
-            });
-        }
-    };
-
-    loop {
-        // Barrier: the global minimum next event. Serial and cheap —
-        // one lock round over the LPs.
-        let barrier = cells
-            .iter()
-            .filter_map(|c| c.lock().expect("cell poisoned").lp.next_event_time())
-            .min();
-        let Some(barrier) = barrier else { break };
-        if barrier >= until {
-            break;
-        }
-        let epoch_end = barrier.saturating_add(lookahead).min(until);
-        advance_all(epoch_end);
-        epochs += 1;
-
-        // Exchange: merge every outbox, deliver in (at, src, seq) order.
-        let mut exchange: Vec<Envelope<L::Msg>> = Vec::new();
-        for cell in &cells {
-            let mut cell = cell.lock().expect("cell poisoned");
-            exchange.append(&mut cell.outbox.msgs);
-        }
-        if exchange.is_empty() {
-            continue;
-        }
-        exchange.sort_unstable_by_key(|e| (e.at, e.src, e.seq));
-        messages += exchange.len() as u64;
-        for env in exchange {
-            assert!(
-                env.at >= epoch_end,
-                "lookahead violation: LP {} scheduled a message at {:?} before \
-                 epoch end {:?} — these LPs share zero-lookahead state and must \
-                 be one coupling group",
-                env.src,
-                env.at,
-                epoch_end,
-            );
-            let mut cell = cells[env.dst].lock().expect("cell poisoned");
-            let swapped = cell.instruments.install();
-            cell.lp.deliver(env.at, env.msg);
-            cell.instruments.uninstall(spec, swapped);
-        }
-    }
-
-    // Absorb per-LP instruments into the caller's, strictly in LP order.
-    let mut lps = Vec::with_capacity(n);
-    for cell in cells {
-        let cell = cell.into_inner().expect("cell poisoned");
-        cell.instruments.absorb_into_caller();
-        lps.push(cell.lp);
-    }
-    EpochReport {
-        lps,
-        epochs,
-        messages,
-    }
-}
-
-/// Microbench helper: merges pre-staged envelopes the way the epoch
-/// barrier does, returning the delivery order. Exposed for
-/// `enginebench`'s `shard_merge` sample and the determinism tests.
-#[must_use]
-pub fn merge_order<M>(mut envelopes: Vec<Envelope<M>>) -> Vec<Envelope<M>> {
-    envelopes.sort_unstable_by_key(|e| (e.at, e.src, e.seq));
-    envelopes
-}
-
-// The Barrier/AtomicU64 imports back the persistent-pool variant of
-// `run_epochs` used when epochs are small relative to thread spawn
-// cost; see `EpochPool`.
-/// A persistent worker pool for epoch loops with many tiny epochs:
-/// workers are spawned once and coordinate through a [`Barrier`], so
-/// per-epoch cost is a barrier round, not a thread spawn.
-///
-/// Semantics are identical to [`run_epochs`]; only the scheduling
-/// differs, and scheduling is unobservable.
-pub struct EpochPool {
-    shards: usize,
-}
-
-impl EpochPool {
-    /// A pool of `shards` workers (clamped to ≥ 1).
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        EpochPool {
-            shards: shards.max(1),
-        }
-    }
-
-    /// Runs the epoch loop on the persistent pool. See [`run_epochs`].
-    pub fn run<L: ShardLp>(
-        &self,
-        lps: Vec<L>,
-        lookahead: SimDuration,
-        until: SimTime,
-        spec: IsolationSpec,
-    ) -> EpochReport<L> {
-        let n = lps.len();
-        let shards = effective_shards(self.shards, n, host_parallelism());
-        if shards == 1 || n == 0 {
-            return run_epochs(lps, lookahead, until, 1, spec);
-        }
-        assert!(
-            lookahead > SimDuration::ZERO,
-            "zero lookahead cannot shard: the LPs form one coupling group"
-        );
-        struct Cell<L: ShardLp> {
-            lp: L,
-            instruments: Instruments,
-            outbox: Outbox<L::Msg>,
-        }
-        let cells: Vec<Mutex<Cell<L>>> = lps
-            .into_iter()
-            .enumerate()
-            .map(|(i, lp)| {
-                Mutex::new(Cell {
-                    lp,
-                    instruments: Instruments::fresh(spec),
-                    outbox: Outbox::new(i),
-                })
-            })
-            .collect();
-        let gate = Barrier::new(shards + 1);
-        // Epoch horizon in nanos; u64::MAX doubles as the stop signal.
-        let horizon = AtomicU64::new(0);
-        const STOP: u64 = u64::MAX;
-        let cursor = AtomicUsize::new(0);
-        let mut epochs = 0u64;
-        let mut messages = 0u64;
-
+    if workers <= 1 {
+        worker();
+    } else {
         std::thread::scope(|s| {
-            for _ in 0..shards {
-                s.spawn(|| loop {
-                    gate.wait();
-                    let h = horizon.load(Ordering::Acquire);
-                    if h == STOP {
-                        return;
-                    }
-                    let epoch_end = SimTime::from_nanos(h);
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let mut cell = cells[i].lock().expect("cell poisoned");
-                        let swapped = cell.instruments.install();
-                        let Cell { lp, outbox, .. } = &mut *cell;
-                        lp.advance(epoch_end, outbox);
-                        cell.instruments.uninstall(spec, swapped);
-                    }
-                    gate.wait();
+            for _ in 0..workers {
+                s.spawn(|| {
+                    WORKER_SHARE.with(|w| w.set(Some(share)));
+                    worker();
                 });
             }
-            // Coordinator (caller's thread).
-            loop {
-                let barrier = cells
-                    .iter()
-                    .filter_map(|c| c.lock().expect("cell poisoned").lp.next_event_time())
-                    .min();
-                let stop = match barrier {
-                    None => true,
-                    Some(b) => b >= until,
-                };
-                if stop {
-                    horizon.store(STOP, Ordering::Release);
-                    gate.wait();
-                    break;
-                }
-                let barrier = barrier.expect("checked above");
-                let epoch_end = barrier.saturating_add(lookahead).min(until);
-                cursor.store(0, Ordering::Relaxed);
-                horizon.store(epoch_end.as_nanos(), Ordering::Release);
-                gate.wait(); // release workers into the epoch
-                gate.wait(); // wait for the epoch to complete
-                epochs += 1;
-                let mut exchange: Vec<Envelope<L::Msg>> = Vec::new();
-                for cell in &cells {
-                    let mut cell = cell.lock().expect("cell poisoned");
-                    exchange.append(&mut cell.outbox.msgs);
-                }
-                if exchange.is_empty() {
-                    continue;
-                }
-                exchange.sort_unstable_by_key(|e| (e.at, e.src, e.seq));
-                messages += exchange.len() as u64;
-                for env in exchange {
-                    assert!(
-                        env.at >= epoch_end,
-                        "lookahead violation: LP {} message at {:?} before epoch \
-                         end {:?}",
-                        env.src,
-                        env.at,
-                        epoch_end,
-                    );
-                    let mut cell = cells[env.dst].lock().expect("cell poisoned");
-                    let swapped = cell.instruments.install();
-                    cell.lp.deliver(env.at, env.msg);
-                    cell.instruments.uninstall(spec, swapped);
-                }
-            }
         });
-
-        let mut lps = Vec::with_capacity(n);
-        for cell in cells {
-            let cell = cell.into_inner().expect("cell poisoned");
-            cell.instruments.absorb_into_caller();
-            lps.push(cell.lp);
-        }
-        EpochReport {
-            lps,
-            epochs,
-            messages,
-        }
     }
+    outputs
+        .into_iter()
+        .map(|slot| {
+            let (result, instruments) = slot
+                .into_inner()
+                .expect("result slot poisoned")
+                .expect("worker loop fills every slot");
+            instruments.absorb_into_caller();
+            result
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventQueue;
-
-    /// A minimal LP: a queue of u64 payloads; processing payload `p`
-    /// appends `(time, p)` to a log, and payloads with the high bit set
-    /// are forwarded to the next LP over the fabric.
-    struct TestLp {
-        id: usize,
-        peers: usize,
-        queue: EventQueue<u64>,
-        log: Vec<(SimTime, u64)>,
-        fabric_latency: SimDuration,
-    }
-
-    const FWD: u64 = 1 << 63;
-
-    impl TestLp {
-        fn new(id: usize, peers: usize, fabric_latency: SimDuration) -> Self {
-            TestLp {
-                id,
-                peers,
-                queue: EventQueue::new(),
-                log: Vec::new(),
-                fabric_latency,
-            }
-        }
-    }
-
-    impl ShardLp for TestLp {
-        type Msg = u64;
-
-        fn next_event_time(&self) -> Option<SimTime> {
-            self.queue.next_time()
-        }
-
-        fn advance(&mut self, horizon: SimTime, outbox: &mut Outbox<u64>) {
-            while let Some(t) = self.queue.next_time() {
-                if t >= horizon {
-                    break;
-                }
-                let (at, p) = self.queue.pop().expect("peeked");
-                self.log.push((at, p));
-                if p & FWD != 0 {
-                    let dst = (self.id + 1) % self.peers;
-                    outbox.send(dst, at.saturating_add(self.fabric_latency), p & !FWD);
-                }
-            }
-        }
-
-        fn deliver(&mut self, at: SimTime, msg: u64) {
-            self.queue.schedule_at(at, msg);
-        }
-    }
-
-    fn build(n: usize, lookahead: SimDuration) -> Vec<TestLp> {
-        let mut lps: Vec<TestLp> = (0..n).map(|i| TestLp::new(i, n, lookahead)).collect();
-        // Seed: staggered local work plus a few cross-LP sends.
-        for (i, lp) in lps.iter_mut().enumerate() {
-            for k in 0..40u64 {
-                let at = SimTime::from_nanos(10 + k * 97 + i as u64 * 13);
-                let payload = if k % 5 == 0 { FWD | (k + 1) } else { k + 1 };
-                lp.queue.schedule_at(at, payload);
-            }
-        }
-        lps
-    }
-
-    fn full_log(lps: &[TestLp]) -> Vec<(usize, SimTime, u64)> {
-        let mut out = Vec::new();
-        for lp in lps {
-            for &(t, p) in &lp.log {
-                out.push((lp.id, t, p));
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn epoch_run_is_shard_count_invariant() {
-        let la = SimDuration::from_nanos(50);
-        let until = SimTime::from_micros(100);
-        let a = run_epochs(build(4, la), la, until, 1, IsolationSpec::none());
-        let b = run_epochs(build(4, la), la, until, 2, IsolationSpec::none());
-        let c = run_epochs(build(4, la), la, until, 8, IsolationSpec::none());
-        assert_eq!(full_log(&a.lps), full_log(&b.lps));
-        assert_eq!(full_log(&a.lps), full_log(&c.lps));
-        assert!(a.messages > 0, "sends actually crossed shards");
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.epochs, c.epochs);
-    }
-
-    #[test]
-    fn persistent_pool_matches_scoped_spawns() {
-        let la = SimDuration::from_nanos(50);
-        let until = SimTime::from_micros(100);
-        let a = run_epochs(build(6, la), la, until, 3, IsolationSpec::none());
-        let pool = EpochPool::new(3);
-        let b = pool.run(build(6, la), la, until, IsolationSpec::none());
-        assert_eq!(full_log(&a.lps), full_log(&b.lps));
-        assert_eq!(a.epochs, b.epochs);
-        assert_eq!(a.messages, b.messages);
-    }
-
-    #[test]
-    fn event_exactly_on_the_horizon_waits_for_the_next_epoch() {
-        // One LP, one event at t, another exactly at t + lookahead (the
-        // first epoch's end). The horizon event must not be processed
-        // in epoch 1 — strictly-less-than is the epoch-edge rule.
-        let la = SimDuration::from_nanos(100);
-        let mut lp = TestLp::new(0, 1, la);
-        lp.queue.schedule_at(SimTime::from_nanos(10), 1);
-        lp.queue.schedule_at(SimTime::from_nanos(110), 2); // == 10 + lookahead
-        let report = run_epochs(
-            vec![lp],
-            la,
-            SimTime::from_micros(1),
-            1,
-            IsolationSpec::none(),
-        );
-        let lp = &report.lps[0];
-        assert_eq!(
-            lp.log,
-            vec![(SimTime::from_nanos(10), 1), (SimTime::from_nanos(110), 2),]
-        );
-        // Epoch 1 covered [10, 110); the horizon event needed epoch 2.
-        assert_eq!(report.epochs, 2);
-    }
-
-    #[test]
-    fn events_at_until_stay_pending() {
-        let la = SimDuration::from_nanos(100);
-        let mut lp = TestLp::new(0, 1, la);
-        lp.queue.schedule_at(SimTime::from_nanos(10), 1);
-        lp.queue.schedule_at(SimTime::from_nanos(500), 2);
-        let report = run_epochs(
-            vec![lp],
-            la,
-            SimTime::from_nanos(500),
-            1,
-            IsolationSpec::none(),
-        );
-        let lp = &report.lps[0];
-        assert_eq!(lp.log, vec![(SimTime::from_nanos(10), 1)]);
-        assert_eq!(lp.queue.next_time(), Some(SimTime::from_nanos(500)));
-    }
-
-    #[test]
-    fn cross_shard_delivery_is_time_src_seq_ordered() {
-        let envs = vec![
-            Envelope {
-                at: SimTime::from_nanos(5),
-                src: 1,
-                seq: 0,
-                dst: 0,
-                msg: "b",
-            },
-            Envelope {
-                at: SimTime::from_nanos(5),
-                src: 0,
-                seq: 1,
-                dst: 1,
-                msg: "a1",
-            },
-            Envelope {
-                at: SimTime::from_nanos(3),
-                src: 2,
-                seq: 0,
-                dst: 0,
-                msg: "c",
-            },
-            Envelope {
-                at: SimTime::from_nanos(5),
-                src: 0,
-                seq: 0,
-                dst: 1,
-                msg: "a0",
-            },
-        ];
-        let order: Vec<&str> = merge_order(envs).into_iter().map(|e| e.msg).collect();
-        assert_eq!(order, vec!["c", "a0", "a1", "b"]);
-    }
+    use crate::time::{SimDuration, SimTime};
 
     #[test]
     fn single_core_hosts_always_run_inline() {
-        // The fig4a_shards4 fix: `--shards 4` on a 1-core runner must
-        // not spawn contending workers.
-        assert_eq!(effective_shards(4, 16, 1), 1);
-        assert_eq!(effective_shards(0, 16, 1), 1);
+        // `--jobs 4` on a 1-core runner must not spawn contending
+        // workers.
+        assert_eq!(effective_workers(4, 16, 1), 1);
+        assert_eq!(effective_workers(0, 16, 1), 1);
         // Multi-core hosts keep the requested count, clamped to the
         // task count.
-        assert_eq!(effective_shards(4, 16, 8), 4);
-        assert_eq!(effective_shards(8, 3, 8), 3);
-        assert_eq!(effective_shards(0, 3, 8), 1);
-        assert_eq!(effective_shards(2, 0, 8), 1);
+        assert_eq!(effective_workers(4, 16, 8), 4);
+        assert_eq!(effective_workers(8, 3, 8), 3);
+        assert_eq!(effective_workers(0, 3, 8), 1);
+        assert_eq!(effective_workers(2, 0, 8), 1);
     }
 
     #[test]
     fn run_isolated_returns_results_in_task_order() {
-        let tasks: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..16u64)
-            .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> u64 + Send>)
-            .collect();
+        let tasks: Vec<Task<'_, u64>> = (0..16u64).map(|i| task(move || i * i)).collect();
         let out = run_isolated(tasks, 4, IsolationSpec::none());
         assert_eq!(out, (0..16u64).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
-    fn run_isolated_single_shard_runs_inline() {
-        // At shards <= 1 the caller's thread identity is preserved —
-        // today's serial path, byte for byte.
+    fn run_isolated_single_worker_runs_inline() {
+        // At one worker the caller's thread identity is preserved: the
+        // serial path, byte for byte.
         let caller = std::thread::current().id();
-        let tasks: Vec<Box<dyn FnOnce() -> std::thread::ThreadId + Send>> = (0..3)
-            .map(|_| {
-                Box::new(|| std::thread::current().id())
-                    as Box<dyn FnOnce() -> std::thread::ThreadId + Send>
-            })
+        let tasks: Vec<Task<'_, std::thread::ThreadId>> = (0..3)
+            .map(|_| task(|| std::thread::current().id()))
             .collect();
         let out = run_isolated(tasks, 1, IsolationSpec::none());
         assert!(out.iter().all(|&id| id == caller));
+    }
+
+    /// Runs an outer pool of `outer` tasks at `workers`; each task
+    /// fans 8 tasks over a nested pool asked for `workers` and reports
+    /// `(its own thread, the threads its nested pool ran on)`.
+    fn nested_threads(
+        outer: usize,
+        workers: usize,
+    ) -> Vec<(std::thread::ThreadId, Vec<std::thread::ThreadId>)> {
+        let tasks: Vec<Task<'_, _>> = (0..outer)
+            .map(|_| {
+                task(move || {
+                    let inner: Vec<Task<'_, std::thread::ThreadId>> = (0..8)
+                        .map(|_| task(|| std::thread::current().id()))
+                        .collect();
+                    let mut ids = run_isolated(inner, workers, IsolationSpec::none());
+                    ids.sort_unstable_by_key(|id| format!("{id:?}"));
+                    ids.dedup();
+                    (std::thread::current().id(), ids)
+                })
+            })
+            .collect();
+        run_isolated(tasks, workers, IsolationSpec::none())
+    }
+
+    #[test]
+    fn nested_pools_stay_within_their_worker_share() {
+        // A saturated outer pool leaves each worker a share of one: the
+        // nested pools run inline on the worker's own thread.
+        for (me, inner) in nested_threads(4, 2) {
+            assert_eq!(inner, vec![me], "nested pool spawned");
+        }
+        // Two outer tasks on a request of 4 leave each worker a share
+        // of two threads for its nested pool.
+        for (_, inner) in nested_threads(2, 4) {
+            assert!(inner.len() <= 2, "nested pool exceeded its share");
+        }
+    }
+
+    #[test]
+    fn nested_namespace_bases_never_collide() {
+        // An outer pool of 2 tasks; each draws namespaces directly
+        // (before and after its inner pool) and from an inner pool of
+        // 2. Everything lands in one checker after absorption, so every
+        // drawn id must be distinct.
+        for workers in [1, 2] {
+            let outer: Vec<Task<'_, Vec<u64>>> = (0..2)
+                .map(|_| {
+                    task(move || {
+                        let mut ids = vec![invariant::fresh_namespace()];
+                        let inner: Vec<Task<'_, Vec<u64>>> = (0..2)
+                            .map(|_| {
+                                task(|| {
+                                    vec![invariant::fresh_namespace(), invariant::fresh_namespace()]
+                                })
+                            })
+                            .collect();
+                        ids.extend(
+                            run_isolated(inner, workers, IsolationSpec::none())
+                                .into_iter()
+                                .flatten(),
+                        );
+                        ids.push(invariant::fresh_namespace());
+                        ids
+                    })
+                })
+                .collect();
+            let ids: Vec<u64> = run_isolated(outer, workers, IsolationSpec::none())
+                .into_iter()
+                .flatten()
+                .collect();
+            let mut unique = ids.clone();
+            unique.sort_unstable();
+            unique.dedup();
+            assert_eq!(unique.len(), ids.len(), "colliding namespaces: {ids:?}");
+        }
     }
 
     #[test]
@@ -896,9 +377,9 @@ mod tests {
             ring_capacity: 1 << 10,
             ..IsolationSpec::default()
         };
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..6u64)
+        let tasks: Vec<Task<'_, ()>> = (0..6u64)
             .map(|i| {
-                Box::new(move || {
+                task(move || {
                     trace::span(
                         SimTime::from_micros(i),
                         SimDuration::from_micros(1),
@@ -907,7 +388,7 @@ mod tests {
                         vec![("i", crate::trace::ArgValue::U64(i))],
                     );
                     trace::metrics(|m| m.counter_add("shard.tasks", 1));
-                }) as Box<dyn FnOnce() + Send>
+                })
             })
             .collect();
         run_isolated(tasks, 3, spec);
@@ -926,5 +407,28 @@ mod tests {
             (0..6u64).map(SimTime::from_micros).collect::<Vec<_>>(),
             "absorb preserved task order"
         );
+    }
+
+    #[test]
+    fn chaos_checkers_are_per_task_and_absorbed() {
+        // Each task steps its own checker's clock backwards once: one
+        // violation per task, all absorbed into the caller's checker.
+        assert!(invariant::install(InvariantChecker::new(5)).is_none());
+        let spec = IsolationSpec {
+            chaos_seed: Some(5),
+            ..IsolationSpec::default()
+        };
+        let tasks: Vec<Task<'_, ()>> = (0..4)
+            .map(|_| {
+                task(|| {
+                    invariant::note_event_time(SimTime::from_micros(1));
+                    invariant::note_event_time(SimTime::ZERO);
+                })
+            })
+            .collect();
+        run_isolated(tasks, 2, spec);
+        let checker = invariant::uninstall().expect("still installed");
+        assert_eq!(checker.violations().len(), 4);
+        assert!(checker.checks() >= 8);
     }
 }

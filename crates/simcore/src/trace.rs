@@ -1384,7 +1384,7 @@ mod tests {
             m.counter_add("faults", base);
             m
         };
-        // Task-order merge (what par_runner does) is reproducible:
+        // Task-order merge (what the shard executor does) is reproducible:
         // merging the same parts in the same order twice is identical.
         let merge_all = |parts: &[u64]| {
             let mut m = MetricsRegistry::new();

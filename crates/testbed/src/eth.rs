@@ -807,13 +807,6 @@ impl EthTestbed {
         self.queue.now()
     }
 
-    /// Timestamp of the next pending event, if any (the shard executor
-    /// uses this to compute epoch horizons).
-    #[must_use]
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.next_time()
-    }
-
     /// Lifetime event-queue counters:
     /// `(scheduled, popped, cancelled, pending)`.
     #[must_use]

@@ -17,19 +17,18 @@
 //! ranges per matrix job. A failing seed is printed in the assertion
 //! message; `EXPERIMENTS.md` describes how to replay it.
 //!
-//! `CHAOS_JOBS` fans the sweep's cells across worker threads (default
-//! 1). Every cell is hermetic — it installs its own thread-local
+//! `CHAOS_JOBS` fans the sweep's cells over the executor's worker
+//! threads (default 1; `0` means all cores). Every cell is hermetic — it installs its own thread-local
 //! [`InvariantChecker`] and owns its testbeds — and cell totals are
 //! merged in cell order, so the sweep's result is identical at every
 //! job count.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use npf::prelude::*;
 use npf::rdmasim::types::{SendOp, WcStatus};
 use npf::simcore::chaos::{invariant, ChaosProfile};
+use npf::simcore::shard;
 use npf::testbed::eth::RxMode;
 use npf::workloads::memcached::MemcachedConfig;
 
@@ -55,36 +54,22 @@ fn sweep_jobs() -> usize {
     }
 }
 
-/// Runs one sweep cell per config across [`sweep_jobs`] worker threads
-/// and merges the per-cell injection totals in cell order. A cell
-/// assertion failure propagates when the scope joins, so a failing seed
-/// still fails the test with its message.
+/// Runs one sweep cell per config on the executor at [`sweep_jobs`]
+/// workers and merges the per-cell injection totals in cell order. The
+/// pool installs nothing: each cell installs its own checker. A cell
+/// assertion failure propagates, so a failing seed still fails the
+/// test with its message.
 fn sweep(
     cells: Vec<ChaosConfig>,
     run: impl Fn(ChaosConfig) -> HashMap<String, u64> + Sync,
 ) -> HashMap<String, u64> {
-    let n = cells.len();
-    let jobs = sweep_jobs().clamp(1, n.max(1));
-    let outputs: Vec<Mutex<Option<HashMap<String, u64>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                *outputs[i].lock().expect("cell slot poisoned") = Some(run(cells[i]));
-            });
-        }
-    });
+    let run = &run;
+    let tasks = cells
+        .into_iter()
+        .map(|cfg| shard::task(move || run(cfg)))
+        .collect();
     let mut totals = HashMap::new();
-    for slot in outputs {
-        let cell = slot
-            .into_inner()
-            .expect("cell slot poisoned")
-            .expect("worker loop fills every slot");
+    for cell in shard::run_isolated(tasks, sweep_jobs(), shard::IsolationSpec::none()) {
         for (name, value) in cell {
             *totals.entry(name).or_default() += value;
         }
