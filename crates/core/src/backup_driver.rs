@@ -11,11 +11,12 @@
 //! All IOusers stay **unaware**: they observe only their own ring, with
 //! packets arriving in order.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use memsim::manager::MemError;
 use memsim::types::VirtAddr;
 use nicsim::rx::{BackupEntry, RingId, RxEngine};
+use simcore::fxhash::FxHashMap;
 use simcore::journal;
 use simcore::stats::Counters;
 use simcore::time::{SimDuration, SimTime};
@@ -62,16 +63,16 @@ pub struct RingStats {
 #[derive(Debug)]
 pub struct BackupDriver<P> {
     /// Per-IOuser software queues (`q` in the paper).
-    queues: HashMap<RingId, VecDeque<BackupEntry<P>>>,
+    queues: FxHashMap<RingId, VecDeque<BackupEntry<P>>>,
     /// Rings whose resolver is parked awaiting a tail interrupt.
-    parked: HashMap<RingId, bool>,
+    parked: FxHashMap<RingId, bool>,
     /// Domain of each ring (for IOMMU updates).
-    domains: HashMap<RingId, DomainId>,
+    domains: FxHashMap<RingId, DomainId>,
     /// Number of buffer slots each ring cycles through (slot address
     /// reconstruction).
-    ring_slots: HashMap<RingId, u64>,
+    ring_slots: FxHashMap<RingId, u64>,
     /// Per-ring resolver activity.
-    ring_stats: HashMap<RingId, RingStats>,
+    ring_stats: FxHashMap<RingId, RingStats>,
     counters: Counters,
 }
 
@@ -86,11 +87,11 @@ impl<P: Clone> BackupDriver<P> {
     #[must_use]
     pub fn new() -> Self {
         BackupDriver {
-            queues: HashMap::new(),
-            parked: HashMap::new(),
-            domains: HashMap::new(),
-            ring_slots: HashMap::new(),
-            ring_stats: HashMap::new(),
+            queues: FxHashMap::default(),
+            parked: FxHashMap::default(),
+            domains: FxHashMap::default(),
+            ring_slots: FxHashMap::default(),
+            ring_stats: FxHashMap::default(),
             counters: Counters::new(),
         }
     }

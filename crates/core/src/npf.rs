@@ -17,13 +17,12 @@
 //! be resolved and `complete_fault` applies the IOMMU update; the
 //! testbed schedules the completion event.
 
-use std::collections::HashMap;
-
 use iommu::{DomainId, Iommu, TableMode};
 use memsim::manager::{Invalidation, MemError, MemoryManager};
 use memsim::types::{PageRange, SpaceId, VirtAddr, Vpn};
 use memsim::FrameId;
 use simcore::chaos::{invariant, ChaosEngine, NpfFate};
+use simcore::fxhash::{FxHashMap, FxHashSet};
 use simcore::journal;
 use simcore::rng::SimRng;
 use simcore::stats::{Counters, DurationHistogram};
@@ -498,7 +497,7 @@ pub struct NpfEngine {
     backend: Box<dyn OdpBackend>,
     counters: Counters,
     fault_latency: DurationHistogram,
-    fault_latency_by_tag: HashMap<&'static str, DurationHistogram>,
+    fault_latency_by_tag: FxHashMap<&'static str, DurationHistogram>,
     last_breakdown: Option<NpfBreakdown>,
     /// Stride-detector state per dense domain id.
     streams: Vec<StrideStream>,
@@ -509,7 +508,7 @@ pub struct NpfEngine {
     /// by DMA, keyed `(domain, vpn)`. Interior mutability because hit
     /// detection happens inside the read-only `dma_ready` probe; only
     /// membership is ever queried, so iteration order cannot leak.
-    prefetched: std::cell::RefCell<std::collections::HashSet<(u32, u64)>>,
+    prefetched: std::cell::RefCell<FxHashSet<(u32, u64)>>,
     /// Hits observed by `dma_ready` awaiting transfer into `counters`.
     prefetch_hits_pending: std::cell::Cell<u64>,
     /// `Iommu::huge_stats` promotions seen and charged so far.
@@ -549,11 +548,11 @@ impl NpfEngine {
             backend: config.backend.build(),
             counters: Counters::new(),
             fault_latency: DurationHistogram::new(),
-            fault_latency_by_tag: HashMap::new(),
+            fault_latency_by_tag: FxHashMap::default(),
             last_breakdown: None,
             streams: Vec::new(),
             spawned_prefetches: Vec::new(),
-            prefetched: std::cell::RefCell::new(std::collections::HashSet::new()),
+            prefetched: std::cell::RefCell::new(FxHashSet::default()),
             prefetch_hits_pending: std::cell::Cell::new(0),
             seen_promotions: 0,
             seen_demotions: 0,

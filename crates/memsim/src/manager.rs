@@ -9,8 +9,7 @@
 //! The manager is sans-IO: every operation returns the simulated time it
 //! cost; the caller (testbed event loop) advances the clock.
 
-use std::collections::HashMap;
-
+use simcore::fxhash::FxHashMap;
 use simcore::journal;
 use simcore::stats::Counters;
 use simcore::time::SimDuration;
@@ -213,10 +212,10 @@ pub struct MemoryManager {
     frames: FrameAllocator,
     /// Indexed by `SpaceId.0`; ids are handed out densely below.
     spaces: Vec<AddressSpace>,
-    space_group: HashMap<SpaceId, CgroupId>,
-    group_limit: HashMap<CgroupId, u64>, // pages
-    group_resident: HashMap<CgroupId, u64>,
-    group_members: HashMap<CgroupId, Vec<SpaceId>>,
+    space_group: FxHashMap<SpaceId, CgroupId>,
+    group_limit: FxHashMap<CgroupId, u64>, // pages
+    group_resident: FxHashMap<CgroupId, u64>,
+    group_members: FxHashMap<CgroupId, Vec<SpaceId>>,
     swap: SwapDevice,
     /// The slow memory tier, when configured: demotion target for cold
     /// dirty pages ahead of the swap device.
@@ -224,7 +223,7 @@ pub struct MemoryManager {
     cache: PageCache,
     lru: LruTracker,
     /// Reference counts of frames shared by COW (absent = 1 owner).
-    frame_refs: HashMap<FrameId, u32>,
+    frame_refs: FxHashMap<FrameId, u32>,
     /// Shared recency clock across mapped memory and the page cache
     /// (their relative ages decide reclaim order, as in Linux).
     clock: u64,
@@ -247,17 +246,17 @@ impl MemoryManager {
         MemoryManager {
             frames: FrameAllocator::new(total_frames),
             spaces: Vec::new(),
-            space_group: HashMap::new(),
-            group_limit: HashMap::new(),
-            group_resident: HashMap::new(),
-            group_members: HashMap::new(),
+            space_group: FxHashMap::default(),
+            group_limit: FxHashMap::default(),
+            group_resident: FxHashMap::default(),
+            group_members: FxHashMap::default(),
             swap: SwapDevice::new(config.disk, swap_slots),
             nvm: config
                 .tier
                 .map(|t| SwapDevice::new(t.disk, t.capacity.bytes() / PAGE_SIZE)),
             cache: PageCache::new(),
             lru: LruTracker::new(),
-            frame_refs: HashMap::new(),
+            frame_refs: FxHashMap::default(),
             clock: 0,
             counters: Counters::new(),
             next_space: 0,

@@ -26,7 +26,7 @@
 //! Every DMA consults a [`DmaGate`], which the NPF engine implements; a
 //! pinned channel uses [`crate::types::PinnedGate`] and never faults.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use memsim::types::VirtAddr;
 use netsim::packet::NodeId;
@@ -57,7 +57,7 @@ enum Pause {
 }
 
 /// One packet the requester may need to retransmit.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TxDesc {
     kind: RcPacketKind,
     /// Local gather address (None for read requests).
@@ -66,6 +66,153 @@ struct TxDesc {
     message: MessageRange,
     /// Completion to deliver when this packet is cumulatively acked.
     complete: Option<(WrId, WcOpcode, u64)>,
+}
+
+/// One PSN's entry in the [`SendWindow`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// The unacked packet, while this PSN is in flight.
+    desc: Option<TxDesc>,
+    /// The peer advertised this PSN as received out of order (selective
+    /// repeat only): still unacked cumulatively, but never retransmitted.
+    sacked: bool,
+    /// Already queued or sent as a SACK-driven retransmit since the last
+    /// cumulative-ACK advance (suppresses duplicate recovery).
+    retx_queued: bool,
+}
+
+impl Slot {
+    fn is_vacant(&self) -> bool {
+        self.desc.is_none() && !self.sacked && !self.retx_queued
+    }
+}
+
+/// The requester's unacked packets and their selective-ACK marks,
+/// indexed by `psn - base`.
+///
+/// PSNs are dense (`next_psn += 1`), so a slot per PSN replaces ordered
+/// trees: every lookup is an index, every walk is in ascending PSN
+/// order. The window is not contiguous in liveness: RDMA reads consume
+/// PSNs that never enter it, rewound packets wait in the tx queue, and
+/// a mark can outlive its descriptor (a rewound packet keeps its
+/// `retx_queued` mark). A packet re-emitted after the cumulative ACK
+/// passed it (a spurious selective-repeat timeout queued a copy) lands
+/// below `base` and grows the window at the front; the next ACK
+/// retires it. Both ends are kept trimmed of vacant slots.
+#[derive(Debug, Default)]
+struct SendWindow {
+    /// PSN of `slots[0]`.
+    base: u64,
+    slots: VecDeque<Slot>,
+    /// Slots holding a descriptor (the in-flight packet count).
+    live: usize,
+}
+
+impl SendWindow {
+    /// Packets in flight.
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Slot index of `psn`, if the window spans it.
+    fn index(&self, psn: u64) -> Option<usize> {
+        let i = psn.checked_sub(self.base)?;
+        (i < self.slots.len() as u64).then_some(i as usize)
+    }
+
+    /// Slot indices of the PSNs in `lo..hi` the window spans.
+    fn span(&self, lo: u64, hi: u64) -> std::ops::Range<usize> {
+        let clamp = |p: u64| p.saturating_sub(self.base).min(self.slots.len() as u64) as usize;
+        clamp(lo)..clamp(hi)
+    }
+
+    /// Puts `desc` in flight at `psn`, replacing any descriptor (and
+    /// keeping any marks) already there.
+    fn insert(&mut self, psn: u64, desc: TxDesc) {
+        if self.slots.is_empty() {
+            self.base = psn;
+        } else if psn < self.base {
+            for _ in psn..self.base {
+                self.slots.push_front(Slot::default());
+            }
+            self.base = psn;
+        }
+        let i = (psn - self.base) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, Slot::default());
+        }
+        if self.slots[i].desc.replace(desc).is_none() {
+            self.live += 1;
+        }
+    }
+
+    /// Cumulative ACK of everything `<= psn`. When a packet at or below
+    /// `psn` is in flight, retires every slot up to `psn` — marks
+    /// included — handing the descriptors to `done` in ascending PSN
+    /// order, and returns `true`. Otherwise changes nothing.
+    fn retire_through(&mut self, psn: u64, mut done: impl FnMut(TxDesc)) -> bool {
+        let n = self.span(0, psn.saturating_add(1)).end;
+        if !self.slots.range(..n).any(|s| s.desc.is_some()) {
+            return false;
+        }
+        for slot in self.slots.drain(..n) {
+            if let Some(desc) = slot.desc {
+                self.live -= 1;
+                done(desc);
+            }
+        }
+        self.base += n as u64;
+        self.trim();
+        true
+    }
+
+    /// Takes every descriptor at or above `from` out of flight — except
+    /// SACKed ones when `keep_sacked` — handing each to `take` in
+    /// descending PSN order. Marks stay.
+    fn take_from(&mut self, from: u64, keep_sacked: bool, mut take: impl FnMut(u64, TxDesc)) {
+        for i in self.span(from, u64::MAX).rev() {
+            let slot = &mut self.slots[i];
+            if keep_sacked && slot.sacked {
+                continue;
+            }
+            if let Some(desc) = slot.desc.take() {
+                self.live -= 1;
+                take(self.base + i as u64, desc);
+            }
+        }
+        self.trim();
+    }
+
+    /// Drops every selective-ACK mark.
+    fn clear_marks(&mut self) {
+        for slot in &mut self.slots {
+            slot.sacked = false;
+            slot.retx_queued = false;
+        }
+        self.trim();
+    }
+
+    /// Empties the window, yielding the descriptors in ascending PSN
+    /// order.
+    fn drain(&mut self) -> impl Iterator<Item = TxDesc> + '_ {
+        self.live = 0;
+        self.slots.drain(..).filter_map(|s| s.desc)
+    }
+
+    /// Drops vacant slots from both ends.
+    fn trim(&mut self) {
+        while self.slots.front().is_some_and(Slot::is_vacant) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        while self.slots.back().is_some_and(Slot::is_vacant) {
+            self.slots.pop_back();
+        }
+    }
 }
 
 /// Why a packet is being (re)transmitted, for split accounting: RNR
@@ -192,7 +339,8 @@ pub struct RcQp {
     // Requester.
     sq: VecDeque<SqWr>,
     tx: VecDeque<TxItem>,
-    inflight: BTreeMap<u64, TxDesc>,
+    /// Unacked packets and their selective-ACK marks.
+    window: SendWindow,
     next_psn: u64,
     pause: Pause,
     retry: u32,
@@ -201,12 +349,6 @@ pub struct RcQp {
     /// When the retransmission timer was last armed (journalled as the
     /// `retransmit_wait` phase when it fires).
     timer_armed_at: SimTime,
-    /// PSNs the peer advertised as received out of order (selective
-    /// repeat only): still unacked cumulatively, but never retransmitted.
-    sacked: BTreeSet<u64>,
-    /// PSNs already queued or sent as SACK-driven retransmits since the
-    /// last cumulative-ACK advance (suppresses duplicate recovery).
-    retx_queued: BTreeSet<u64>,
     reads: BTreeMap<u64, ReadState>,
     read_fault: Option<(u64, u64)>, // (fault_id, base_psn)
 
@@ -243,15 +385,13 @@ impl RcQp {
             chaos_stream: simcore::chaos::invariant::fresh_namespace(),
             sq: VecDeque::new(),
             tx: VecDeque::new(),
-            inflight: BTreeMap::new(),
+            window: SendWindow::default(),
             next_psn: 0,
             pause: Pause::None,
             retry: 0,
             rnr_retry: 0,
             timer_armed: false,
             timer_armed_at: SimTime::ZERO,
-            sacked: BTreeSet::new(),
-            retx_queued: BTreeSet::new(),
             reads: BTreeMap::new(),
             read_fault: None,
             epsn: 0,
@@ -294,7 +434,7 @@ impl RcQp {
     /// Work requests not yet fully acknowledged (pending sends + reads).
     #[must_use]
     pub fn pending_work(&self) -> usize {
-        self.sq.len() + self.inflight.len() + self.reads.len() + self.tx.len()
+        self.sq.len() + self.window.len() + self.reads.len() + self.tx.len()
     }
 
     /// Posts a receive buffer.
@@ -373,8 +513,7 @@ impl RcQp {
                 // An RNR means the receiver discarded data (it also
                 // flushes its out-of-order park under selective repeat),
                 // so any SACK state is stale.
-                self.sacked.clear();
-                self.retx_queued.clear();
+                self.window.clear_marks();
                 self.rewind_to(pkt.psn, Retx::Rnr);
                 self.pause = Pause::Rnr(now + wait);
                 out.push(QpOutput::SetTimer(QpTimer::RnrResume, now + wait));
@@ -393,17 +532,9 @@ impl RcQp {
                 // regenerated from the served-reads history.
                 self.stats.read_rnr_received += 1;
                 let nacked = pkt.psn;
-                let mut kept = VecDeque::new();
-                while let Some(item) = self.tx.pop_front() {
-                    match item {
-                        TxItem::ReadResponse { psn, .. } if psn >= nacked => {}
-                        other => kept.push_back(other),
-                    }
-                }
-                self.tx = kept;
-                self.parked_read_responses.retain(
-                    |item| !matches!(item, TxItem::ReadResponse { psn, .. } if *psn >= nacked),
-                );
+                let stale = |item: &TxItem| matches!(item, TxItem::ReadResponse { psn, .. } if *psn >= nacked);
+                self.tx.retain(|item| !stale(item));
+                self.parked_read_responses.retain(|item| !stale(item));
                 if let Some(&(base, remote, len, packets)) = self
                     .served_reads
                     .iter()
@@ -472,7 +603,7 @@ impl RcQp {
             }
             QpTimer::Retransmit => {
                 self.timer_armed = false;
-                if self.inflight.is_empty() && self.reads.is_empty() {
+                if self.window.is_empty() && self.reads.is_empty() {
                     return out;
                 }
                 self.stats.timeouts += 1;
@@ -483,7 +614,7 @@ impl RcQp {
                         "retransmit_timeout",
                         vec![
                             ("qpn", ArgValue::U64(u64::from(self.qpn.0))),
-                            ("inflight", ArgValue::U64(self.inflight.len() as u64)),
+                            ("inflight", ArgValue::U64(self.window.len() as u64)),
                         ],
                     );
                     trace::metrics(|m| m.counter_add("rdmasim.timeouts", 1));
@@ -501,42 +632,7 @@ impl RcQp {
                     self.timer_armed_at,
                     now,
                 );
-                match self.cfg.transport {
-                    RdmaTransport::GoBackN => {
-                        // Go-back-N: everything unacked is resent in
-                        // order.
-                        let oldest = self.inflight.keys().next().copied();
-                        if let Some(psn) = oldest {
-                            self.rewind_to(psn, Retx::Loss);
-                        }
-                    }
-                    RdmaTransport::SelectiveRepeat => {
-                        // Selective repeat: only the holes are resent;
-                        // SACKed packets sit at the receiver already.
-                        let mut missing: Vec<u64> = self
-                            .inflight
-                            .keys()
-                            .copied()
-                            .filter(|p| !self.sacked.contains(p))
-                            .collect();
-                        if missing.is_empty() {
-                            // Every in-flight packet is SACKed: the
-                            // receiver has them all and the ACK that
-                            // would retire them was itself lost. Probe
-                            // with the oldest unacked packet — the
-                            // receiver re-acks duplicates — so the
-                            // window drains instead of waiting forever.
-                            if let Some(&oldest) = self.inflight.keys().next() {
-                                self.sacked.remove(&oldest);
-                                missing.push(oldest);
-                            }
-                        }
-                        for p in &missing {
-                            self.retx_queued.remove(p);
-                        }
-                        self.queue_selective_retransmits(&missing);
-                    }
-                }
+                self.recover_on_timeout();
                 // Stalled reads re-request their remainders.
                 self.reissue_read_continuations(&mut out);
             }
@@ -583,7 +679,7 @@ impl RcQp {
         out.push(QpOutput::CancelTimer(QpTimer::Retransmit));
         // Flush completions for everything outstanding, oldest first.
         let mut flushed: Vec<Completion> = Vec::new();
-        for (_psn, desc) in std::mem::take(&mut self.inflight) {
+        for desc in self.window.drain() {
             if let Some((wr_id, opcode, len)) = desc.complete {
                 flushed.push(Completion {
                     wr_id,
@@ -625,14 +721,8 @@ impl RcQp {
     }
 
     fn on_ack(&mut self, now: SimTime, psn: u64, out: &mut Vec<QpOutput>) {
-        let acked: Vec<u64> = self.inflight.range(..=psn).map(|(&p, _)| p).collect();
-        if acked.is_empty() {
-            return;
-        }
-        self.retry = 0;
-        self.rnr_retry = 0;
-        for p in acked {
-            let desc = self.inflight.remove(&p).expect("keys from range");
+        // Cumulative progress also retires the SACK bookkeeping below it.
+        let acked = self.window.retire_through(psn, |desc| {
             if let Some((wr_id, opcode, len)) = desc.complete {
                 out.push(QpOutput::Complete(Completion {
                     wr_id,
@@ -641,14 +731,12 @@ impl RcQp {
                     len,
                 }));
             }
+        });
+        if !acked {
+            return;
         }
-        // Cumulative progress retires SACK bookkeeping below it.
-        if !self.sacked.is_empty() {
-            self.sacked = self.sacked.split_off(&(psn + 1));
-        }
-        if !self.retx_queued.is_empty() {
-            self.retx_queued = self.retx_queued.split_off(&(psn + 1));
-        }
+        self.retry = 0;
+        self.rnr_retry = 0;
         self.rearm_timer(now, out);
     }
 
@@ -677,33 +765,66 @@ impl RcQp {
         if expected > 0 {
             self.on_ack(now, expected - 1, out);
         }
-        let mut highest = None;
-        for i in 0..SACK_WINDOW {
-            if bitmap & (1 << i) != 0 {
-                let p = expected + 1 + i;
-                if self.inflight.contains_key(&p) {
-                    self.sacked.insert(p);
-                }
-                highest = Some(p);
+        let mut bits = bitmap;
+        while bits != 0 {
+            let p = expected + 1 + u64::from(bits.trailing_zeros());
+            bits &= bits - 1;
+            if let Some(i) = self.window.index(p) {
+                let slot = &mut self.window.slots[i];
+                slot.sacked |= slot.desc.is_some();
             }
         }
-        let upper = highest.map_or(expected + 1, |h| h);
-        let missing: Vec<u64> = self
-            .inflight
-            .range(expected..upper)
-            .map(|(&p, _)| p)
-            .filter(|p| !self.sacked.contains(p))
-            .collect();
-        self.queue_selective_retransmits(&missing);
+        // The holes lie below the highest SACKed PSN; with an empty
+        // bitmap only `expected` itself is missing.
+        let upper = match bitmap {
+            0 => expected + 1,
+            _ => expected + 1 + u64::from(63 - bitmap.leading_zeros()),
+        };
+        self.queue_selective_retransmits(expected, upper, false);
     }
 
-    /// Queues loss retransmissions for `psns` (ascending), skipping any
-    /// already queued for recovery or currently waiting in the tx queue.
-    fn queue_selective_retransmits(&mut self, psns: &[u64]) {
-        for &p in psns {
-            if !self.retx_queued.insert(p) {
+    /// Timer recovery. Go-back-N resends everything unacked in order;
+    /// selective repeat resends only the holes, since SACKed packets sit
+    /// at the receiver already.
+    fn recover_on_timeout(&mut self) {
+        match self.cfg.transport {
+            RdmaTransport::GoBackN => self.rewind_to(self.window.base, Retx::Loss),
+            RdmaTransport::SelectiveRepeat => {
+                let holes = self
+                    .window
+                    .slots
+                    .iter()
+                    .any(|s| s.desc.is_some() && !s.sacked);
+                if !holes {
+                    // Every in-flight packet is SACKed: the receiver has
+                    // them all and the ACK that would retire them was
+                    // itself lost. Probe with the oldest unacked packet —
+                    // the receiver re-acks duplicates — so the window
+                    // drains instead of waiting forever.
+                    let oldest = self.window.slots.iter_mut().find(|s| s.desc.is_some());
+                    if let Some(slot) = oldest {
+                        slot.sacked = false;
+                    }
+                }
+                self.queue_selective_retransmits(0, u64::MAX, true);
+            }
+        }
+    }
+
+    /// Queues a loss retransmission for every unsacked in-flight PSN in
+    /// `lo..hi`, in ascending order, skipping any already queued for
+    /// recovery (unless `requeue`, which starts a new recovery round) or
+    /// currently waiting in the tx queue.
+    fn queue_selective_retransmits(&mut self, lo: u64, hi: u64, requeue: bool) {
+        let base = self.window.base;
+        for i in self.window.span(lo, hi) {
+            let slot = &mut self.window.slots[i];
+            let Some(desc) = slot.desc else { continue };
+            if slot.sacked || (slot.retx_queued && !requeue) {
                 continue;
             }
+            slot.retx_queued = true;
+            let p = base + i as u64;
             if self
                 .tx
                 .iter()
@@ -711,13 +832,11 @@ impl RcQp {
             {
                 continue;
             }
-            if let Some(desc) = self.inflight.get(&p).copied() {
-                self.tx.push_back(TxItem::Retransmit {
-                    psn: p,
-                    desc,
-                    rnr: false,
-                });
-            }
+            self.tx.push_back(TxItem::Retransmit {
+                psn: p,
+                desc,
+                rnr: false,
+            });
         }
     }
 
@@ -726,20 +845,13 @@ impl RcQp {
     /// the receiver already SACKed are left in place.
     fn rewind_to(&mut self, from: u64, cause: Retx) {
         let rnr = cause == Retx::Rnr;
-        let resend: Vec<(u64, TxDesc)> = self
-            .inflight
-            .range(from..)
-            .filter(|(p, _)| {
-                self.cfg.transport == RdmaTransport::GoBackN || !self.sacked.contains(p)
-            })
-            .map(|(&p, d)| (p, *d))
-            .collect();
-        for &(p, _) in &resend {
-            self.inflight.remove(&p);
-        }
-        for (psn, desc) in resend.into_iter().rev() {
-            self.tx.push_front(TxItem::Retransmit { psn, desc, rnr });
-        }
+        let keep_sacked = self.cfg.transport == RdmaTransport::SelectiveRepeat;
+        let tx = &mut self.tx;
+        // Taken highest first, each pushed to the front: they end up in
+        // ascending order ahead of whatever was queued.
+        self.window.take_from(from, keep_sacked, |psn, desc| {
+            tx.push_front(TxItem::Retransmit { psn, desc, rnr });
+        });
     }
 
     fn reissue_read_continuations(&mut self, out: &mut Vec<QpOutput>) {
@@ -771,7 +883,7 @@ impl RcQp {
     }
 
     fn rearm_timer(&mut self, now: SimTime, out: &mut Vec<QpOutput>) {
-        let need = !self.inflight.is_empty() || !self.reads.is_empty();
+        let need = !self.window.is_empty() || !self.reads.is_empty();
         if need {
             self.timer_armed = true;
             self.timer_armed_at = now;
@@ -854,7 +966,7 @@ impl RcQp {
                 RdmaTransport::GoBackN => self.cfg.window_packets,
                 RdmaTransport::SelectiveRepeat => self.cfg.window_packets.min(self.cfg.bdp_packets),
             };
-            if self.inflight.len() as u64 >= window {
+            if self.window.len() as u64 >= window {
                 break;
             }
             let Some(wr) = self.sq.front().copied() else {
@@ -985,7 +1097,7 @@ impl RcQp {
         };
         self.stats.data_packets_sent += 1;
         self.stats.bytes_sent += len;
-        self.inflight.insert(psn, desc);
+        self.window.insert(psn, desc);
         out.push(QpOutput::Send {
             to: self.peer_node,
             packet: RcPacket {
@@ -2543,5 +2655,304 @@ mod selective_repeat_tests {
             "sacked PSN 2 is never resent: {retx2:?}"
         );
         assert!(retx2.iter().any(|p| p.psn == 1), "hole PSN 1 is resent");
+    }
+}
+
+/// The send window against the ordered-tree bookkeeping it replaced: a
+/// `BTreeMap` of in-flight packets plus `BTreeSet`s of SACKed and
+/// recovery-queued PSNs, driven by the same random operation sequences
+/// through the requester's own methods. After every step the window's
+/// contents, their order, the marks, the live count, the tx queue and
+/// the completions emitted must all match the model.
+#[cfg(test)]
+mod window_differential {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+    use simcore::time::SimDuration;
+
+    use super::*;
+
+    /// The pre-window requester bookkeeping, kept as the reference.
+    #[derive(Debug, Default)]
+    struct Model {
+        inflight: BTreeMap<u64, TxDesc>,
+        sacked: BTreeSet<u64>,
+        retx_queued: BTreeSet<u64>,
+        /// Queued retransmissions as `(psn, desc, rnr)`.
+        tx: VecDeque<(u64, TxDesc, bool)>,
+        /// Completions emitted by the current step.
+        completed: Vec<WrId>,
+    }
+
+    impl Model {
+        fn on_ack(&mut self, psn: u64) {
+            let acked: Vec<u64> = self.inflight.range(..=psn).map(|(&p, _)| p).collect();
+            if acked.is_empty() {
+                return;
+            }
+            for p in acked {
+                let desc = self.inflight.remove(&p).expect("keys from range");
+                if let Some((wr_id, _, _)) = desc.complete {
+                    self.completed.push(wr_id);
+                }
+            }
+            self.sacked = self.sacked.split_off(&(psn + 1));
+            self.retx_queued = self.retx_queued.split_off(&(psn + 1));
+        }
+
+        fn on_selective_ack(&mut self, expected: u64, bitmap: u64) {
+            if expected > 0 {
+                self.on_ack(expected - 1);
+            }
+            let mut highest = None;
+            for i in 0..SACK_WINDOW {
+                if bitmap & (1 << i) != 0 {
+                    let p = expected + 1 + i;
+                    if self.inflight.contains_key(&p) {
+                        self.sacked.insert(p);
+                    }
+                    highest = Some(p);
+                }
+            }
+            let upper = highest.map_or(expected + 1, |h| h);
+            let missing: Vec<u64> = self
+                .inflight
+                .range(expected..upper)
+                .map(|(&p, _)| p)
+                .filter(|p| !self.sacked.contains(p))
+                .collect();
+            self.queue(&missing);
+        }
+
+        fn queue(&mut self, psns: &[u64]) {
+            for &p in psns {
+                if !self.retx_queued.insert(p) {
+                    continue;
+                }
+                if self.tx.iter().any(|&(psn, _, _)| psn == p) {
+                    continue;
+                }
+                if let Some(desc) = self.inflight.get(&p).copied() {
+                    self.tx.push_back((p, desc, false));
+                }
+            }
+        }
+
+        fn rewind_to(&mut self, from: u64, transport: RdmaTransport, rnr: bool) {
+            let resend: Vec<(u64, TxDesc)> = self
+                .inflight
+                .range(from..)
+                .filter(|(p, _)| transport == RdmaTransport::GoBackN || !self.sacked.contains(p))
+                .map(|(&p, d)| (p, *d))
+                .collect();
+            for &(p, _) in &resend {
+                self.inflight.remove(&p);
+            }
+            for (psn, desc) in resend.into_iter().rev() {
+                self.tx.push_front((psn, desc, rnr));
+            }
+        }
+
+        fn timeout(&mut self, transport: RdmaTransport) {
+            match transport {
+                RdmaTransport::GoBackN => {
+                    if let Some(&psn) = self.inflight.keys().next() {
+                        self.rewind_to(psn, transport, false);
+                    }
+                }
+                RdmaTransport::SelectiveRepeat => {
+                    let mut missing: Vec<u64> = self
+                        .inflight
+                        .keys()
+                        .copied()
+                        .filter(|p| !self.sacked.contains(p))
+                        .collect();
+                    if missing.is_empty() {
+                        if let Some(&oldest) = self.inflight.keys().next() {
+                            self.sacked.remove(&oldest);
+                            missing.push(oldest);
+                        }
+                    }
+                    for p in &missing {
+                        self.retx_queued.remove(p);
+                    }
+                    self.queue(&missing);
+                }
+            }
+        }
+    }
+
+    /// A descriptor that records both its PSN and which emission
+    /// produced it, so replacements and reordering are visible.
+    fn desc(psn: u64, variant: u64) -> TxDesc {
+        let last = variant.is_multiple_of(2);
+        TxDesc {
+            kind: RcPacketKind::SendData {
+                offset: 0,
+                len: 64,
+                last,
+                message_len: 64,
+            },
+            gather: Some((VirtAddr(psn << 12), 64)),
+            message: MessageRange::new(VirtAddr(psn << 12), 64),
+            complete: last.then_some((psn * 16 + variant % 16, WcOpcode::Send, 64)),
+        }
+    }
+
+    fn marked(qp: &RcQp, mark: fn(&Slot) -> bool) -> Vec<u64> {
+        let w = &qp.window;
+        (0..w.slots.len())
+            .filter(|&i| mark(&w.slots[i]))
+            .map(|i| w.base + i as u64)
+            .collect()
+    }
+
+    fn check(qp: &RcQp, model: &Model, out: &[QpOutput]) -> Result<(), TestCaseError> {
+        let w = &qp.window;
+        let live: Vec<(u64, TxDesc)> = (0..w.slots.len())
+            .filter_map(|i| w.slots[i].desc.map(|d| (w.base + i as u64, d)))
+            .collect();
+        let want: Vec<(u64, TxDesc)> = model.inflight.iter().map(|(&p, &d)| (p, d)).collect();
+        prop_assert_eq!(live, want, "in-flight packets");
+        prop_assert_eq!(w.len(), model.inflight.len(), "live count");
+        prop_assert_eq!(
+            marked(qp, |s| s.sacked),
+            model.sacked.iter().copied().collect::<Vec<_>>(),
+            "sacked marks"
+        );
+        prop_assert_eq!(
+            marked(qp, |s| s.retx_queued),
+            model.retx_queued.iter().copied().collect::<Vec<_>>(),
+            "retx_queued marks"
+        );
+        prop_assert!(
+            !w.slots.front().is_some_and(Slot::is_vacant)
+                && !w.slots.back().is_some_and(Slot::is_vacant),
+            "window ends trimmed"
+        );
+        let tx: Vec<(u64, TxDesc, bool)> = qp
+            .tx
+            .iter()
+            .map(|item| match *item {
+                TxItem::Retransmit { psn, desc, rnr } => (psn, desc, rnr),
+                TxItem::ReadResponse { .. } => unreachable!("requester-only test"),
+            })
+            .collect();
+        prop_assert_eq!(tx, model.tx.iter().copied().collect::<Vec<_>>(), "tx queue");
+        let completed: Vec<WrId> = out
+            .iter()
+            .filter_map(|o| match o {
+                QpOutput::Complete(c) => Some(c.wr_id),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(completed, model.completed.clone(), "completion order");
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every requester operation that touches the window — new and
+        /// repeated emits (including below the cumulative ACK point),
+        /// fresh and stale cumulative ACKs, SACK bitmaps, go-back-N and
+        /// selective-repeat rewinds, timer recovery with its all-SACKed
+        /// probe, and the RNR NACK's mark clear — leaves the window
+        /// exactly where the ordered trees would be.
+        #[test]
+        fn window_matches_ordered_tree_model(
+            ops in proptest::collection::vec((0u64..9, any::<u64>(), any::<u64>()), 1..200),
+        ) {
+            let mut qp = RcQp::new(RcConfig::default(), QpId(1), QpId(2), NodeId(1));
+            let mut model = Model::default();
+            let now = SimTime::ZERO;
+            for (op, a, b) in ops {
+                // PSNs near the live range, stale ones included.
+                let lo = model
+                    .inflight
+                    .keys()
+                    .next()
+                    .copied()
+                    .into_iter()
+                    .chain(model.tx.iter().map(|&(p, _, _)| p))
+                    .min()
+                    .unwrap_or(qp.next_psn)
+                    .saturating_sub(2);
+                let pick = lo + a % (qp.next_psn + 3 - lo);
+                let transport = if b.is_multiple_of(2) {
+                    RdmaTransport::GoBackN
+                } else {
+                    RdmaTransport::SelectiveRepeat
+                };
+                qp.cfg.transport = transport;
+                model.completed.clear();
+                let mut out = Vec::new();
+                match op {
+                    // A new packet, sometimes after a gap of PSNs an RDMA
+                    // read reserved.
+                    0 | 1 => {
+                        if a.is_multiple_of(4) {
+                            qp.next_psn += 1 + b % 3;
+                        }
+                        let psn = qp.next_psn;
+                        qp.next_psn += 1;
+                        let d = desc(psn, b);
+                        qp.emit(psn, d, Retx::No, &mut out);
+                        model.inflight.insert(psn, d);
+                    }
+                    // The head of the tx queue goes out, as `pump` sends
+                    // it: possibly below the cumulative ACK point.
+                    2 => {
+                        if let Some(TxItem::Retransmit { psn, desc, rnr }) = qp.tx.pop_front() {
+                            qp.emit(psn, desc, if rnr { Retx::Rnr } else { Retx::Loss }, &mut out);
+                            model.tx.pop_front();
+                            model.inflight.insert(psn, desc);
+                        }
+                    }
+                    // Any earlier PSN re-emitted with a new descriptor.
+                    3 => {
+                        let psn = a % (qp.next_psn + 1);
+                        let d = desc(psn, b >> 1);
+                        qp.emit(psn, d, Retx::Loss, &mut out);
+                        model.inflight.insert(psn, d);
+                    }
+                    4 => {
+                        qp.on_ack(now, pick, &mut out);
+                        model.on_ack(pick);
+                    }
+                    5 => {
+                        // Dense bitmaps reach the all-SACKed probe.
+                        let bitmap = if b % 4 < 2 { b } else { u64::MAX >> (b % 64) };
+                        qp.on_selective_ack(now, pick, bitmap, &mut out);
+                        model.on_selective_ack(pick, bitmap);
+                    }
+                    6 => {
+                        let rnr = b % 4 >= 2;
+                        qp.rewind_to(pick, if rnr { Retx::Rnr } else { Retx::Loss });
+                        model.rewind_to(pick, transport, rnr);
+                    }
+                    7 => {
+                        qp.recover_on_timeout();
+                        model.timeout(transport);
+                    }
+                    _ => {
+                        let nak = RcPacket {
+                            dst_qp: QpId(1),
+                            src_qp: QpId(2),
+                            psn: pick,
+                            kind: RcPacketKind::NakReceiverNotReady {
+                                wait: SimDuration::from_micros(1),
+                            },
+                        };
+                        out = qp.on_packet(now, nak, &mut PinnedGate);
+                        model.sacked.clear();
+                        model.retx_queued.clear();
+                        model.rewind_to(pick, transport, true);
+                    }
+                }
+                check(&qp, &model, &out)?;
+            }
+        }
     }
 }

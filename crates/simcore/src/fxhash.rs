@@ -12,7 +12,8 @@
 //! discipline of iterating sorted or intrusive structures, the fixed
 //! seed just removes one source of accidental run-to-run variation.
 //!
-//! The maps a simulated event touches all use it:
+//! These maps on per-event paths use it (maps elsewhere keep `std`'s
+//! hasher; switch one when a profile shows its hashing):
 //!
 //! - `iommu::iotlb` — the IOTLB index and its superpage store;
 //! - `nicsim::sriov` — channels, ring ownership and port steering;
@@ -23,6 +24,13 @@
 //! - `testbed::ib::IbNode` — QPs, their domains and their armed timers
 //!   (the fault wake-up scans QPs in sorted id order, never map order);
 //! - `workloads::memcached` — the key-value store;
+//! - `memsim::manager` — cgroup membership, limits and resident counts,
+//!   and COW frame reference counts (hashed on every fault and
+//!   eviction);
+//! - `core::backup_driver` — per-ring software queues, parked flags,
+//!   domains, slot counts and resolver statistics;
+//! - `core::npf` — speculative-prefetch hit detection and the per-tag
+//!   fault-latency histograms;
 //! - `simcore::stats::Counters` — the string-keyed counter bag
 //!   (exported in name order);
 //! - `simcore::journal` — open (admitted, unresolved) faults.
