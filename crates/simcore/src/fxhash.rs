@@ -2,7 +2,7 @@
 //!
 //! `std`'s default `SipHash` is DoS-resistant but costs tens of cycles
 //! per key — measurable on the per-packet fast paths (IOTLB index,
-//! key-value store, per-connection timer maps). The simulator needs no
+//! per-connection timer maps). The simulator needs no
 //! DoS resistance: keys are small integers or tuples of them, generated
 //! by the simulation itself. This multiplicative hasher (the FxHash
 //! construction used by rustc) is a few cycles per word and — unlike
@@ -23,7 +23,6 @@
 //!   oracles and issue times;
 //! - `testbed::ib::IbNode` — QPs, their domains and their armed timers
 //!   (the fault wake-up scans QPs in sorted id order, never map order);
-//! - `workloads::memcached` — the key-value store;
 //! - `memsim::manager` — cgroup membership, limits and resident counts,
 //!   and COW frame reference counts (hashed on every fault and
 //!   eviction);

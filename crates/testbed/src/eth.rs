@@ -538,7 +538,7 @@ impl EthTestbed {
                 .memory_mut()
                 .mmap_fixed(space, rx_range, Backing::Anonymous)?;
             // Item slab: the VM's memory allocation.
-            let app = Memcached::new(config.memcached);
+            let mut app = Memcached::new(config.memcached);
             let slab_pages = app.slab_bytes().pages();
             engine.memory_mut().mmap_fixed(
                 space,
@@ -574,17 +574,8 @@ impl EthTestbed {
                 }
             }
 
-            let mut app = app;
             if config.preload {
-                app.reserve_keys(config.working_set_keys);
-                // memaslap warmup: populate the working set so GETs hit
-                // from the start (steady state).
-                for key in 0..config.working_set_keys {
-                    let outcome = app.process(KvOp::Set { key });
-                    if let Some((addr, len, write)) = outcome.touch {
-                        let _ = engine.touch_range(space, addr, len, write);
-                    }
-                }
+                Self::preload_keys(&mut engine, space, &mut app, config.working_set_keys);
             }
             let mut stack = TcpStack::new();
             stack.listen(11211 + i as u16, TcpConfig::lwip());
@@ -925,11 +916,16 @@ impl EthTestbed {
     /// initial sets; pair with `preload: false`).
     pub fn preload_instance(&mut self, i: u32, keys: u64) {
         let inst = &mut self.instances[i as usize];
-        let space = inst.space;
+        Self::preload_keys(&mut self.engine, inst.space, &mut inst.app, keys);
+    }
+
+    /// memaslap warmup: SETs keys `0..keys` into `app` and touches each
+    /// value's memory in `space`, so GETs hit from the start.
+    fn preload_keys(engine: &mut NpfEngine, space: SpaceId, app: &mut Memcached, keys: u64) {
         for key in 0..keys {
-            let outcome = inst.app.process(KvOp::Set { key });
+            let outcome = app.process(KvOp::Set { key });
             if let Some((addr, len, write)) = outcome.touch {
-                let _ = self.engine.touch_range(space, addr, len, write);
+                let _ = engine.touch_range(space, addr, len, write);
             }
         }
     }

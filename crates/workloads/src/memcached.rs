@@ -9,8 +9,15 @@
 //! page touches that the testbed charges against the host memory
 //! subsystem (faults, swapping, cgroup pressure — the Figure 7
 //! dynamics).
-
-use simcore::fxhash::FxHashMap;
+//!
+//! Keys are dense: the generator draws them from `0..working_set_keys`
+//! (see [`KvOp`]). The item table is therefore a flat array indexed by
+//! key, not a hash map. Each entry holds the item's value slot and the
+//! two links of an intrusive doubly-linked LRU list that threads every
+//! cached key, least recently used at the head. A GET hit or a SET
+//! moves its key to the tail, and an eviction pops the head, so every
+//! operation is O(1). Slots are handed out in order until the cache is
+//! full; after that a new key takes the slot of the key it evicts.
 
 use memsim::types::VirtAddr;
 use simcore::rng::SimRng;
@@ -46,6 +53,11 @@ impl Default for MemcachedConfig {
 }
 
 /// A request the client sends.
+///
+/// Keys are dense small integers, as [`Memaslap`] draws them from
+/// `0..working_set_keys`: the server's item table is indexed by key and
+/// grows to the largest key SET so far. A SET of a key at or above
+/// `u32::MAX` panics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvOp {
     /// Read a key.
@@ -73,19 +85,51 @@ pub struct KvOutcome {
     pub response_bytes: u64,
 }
 
+/// "No key" in the LRU links, and "not cached" in [`Entry::slot`].
+const NIL: u32 = u32::MAX;
+
+/// One key's row in the item table.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// Value slot of the cached item, or [`NIL`] when the key is absent.
+    slot: u32,
+    /// Next less recently used cached key, or [`NIL`] at the head.
+    prev: u32,
+    /// Next more recently used cached key, or [`NIL`] at the tail.
+    next: u32,
+}
+
+impl Entry {
+    const VACANT: Entry = Entry {
+        slot: NIL,
+        prev: NIL,
+        next: NIL,
+    };
+}
+
+/// Converts a table index (key or slot) to its `u32` form; [`NIL`] is
+/// reserved.
+fn index(v: u64) -> u32 {
+    u32::try_from(v)
+        .ok()
+        .filter(|&i| i != NIL)
+        .expect("memcached keys and slots must be below u32::MAX")
+}
+
 /// The server.
 #[derive(Debug)]
 pub struct Memcached {
     config: MemcachedConfig,
-    /// key -> (slot, lru tick)
-    items: FxHashMap<u64, (u64, u64)>,
-    /// slot -> key (for eviction bookkeeping). Slot ids are dense
-    /// (0..max_items), so this is a flat table, not a map.
-    slots: Vec<u64>,
-    free_slots: Vec<u64>,
+    /// Key -> entry, for every key up to the largest one SET.
+    entries: Vec<Entry>,
+    /// Least recently used cached key (the next victim), or [`NIL`].
+    head: u32,
+    /// Most recently used cached key, or [`NIL`].
+    tail: u32,
+    /// Slots handed out so far. Each holds exactly one cached item, so
+    /// this is also the item count.
     next_slot: u64,
     max_items: u64,
-    tick: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -98,12 +142,11 @@ impl Memcached {
         let max_items = (config.max_bytes.bytes() / config.value_size).max(1);
         Memcached {
             config,
-            items: FxHashMap::default(),
-            slots: Vec::new(),
-            free_slots: Vec::new(),
+            entries: Vec::new(),
+            head: NIL,
+            tail: NIL,
             next_slot: 0,
             max_items,
-            tick: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -116,25 +159,16 @@ impl Memcached {
         &self.config
     }
 
-    /// Pre-sizes the item table for an expected number of distinct keys
-    /// (capped at capacity). A bulk preload that skips this pays for a
-    /// cascade of rehashes as the table doubles its way up.
-    pub fn reserve_keys(&mut self, keys: u64) {
-        let n = keys.min(self.max_items);
-        self.items.reserve(usize::try_from(n).unwrap_or(usize::MAX));
-        self.slots.reserve(usize::try_from(n).unwrap_or(usize::MAX));
-    }
-
     /// Items currently cached.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.items.len()
+        usize::try_from(self.next_slot).expect("item count fits usize")
     }
 
     /// `true` when the cache is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.next_slot == 0
     }
 
     /// GET hits so far.
@@ -173,23 +207,83 @@ impl Memcached {
         ByteSize::bytes_exact(self.max_items * self.config.value_size)
     }
 
-    fn slot_addr(&self, slot: u64) -> VirtAddr {
-        VirtAddr(self.config.slab_base.0 + slot * self.config.value_size)
+    fn slot_addr(&self, slot: u32) -> VirtAddr {
+        VirtAddr(self.config.slab_base.0 + u64::from(slot) * self.config.value_size)
+    }
+
+    /// The slot of `key` if it is cached.
+    fn cached_slot(&self, key: u64) -> Option<u32> {
+        let entry = self.entries.get(usize::try_from(key).ok()?)?;
+        (entry.slot != NIL).then_some(entry.slot)
+    }
+
+    /// Removes cached key `k` from the LRU list.
+    fn unlink(&mut self, k: u32) {
+        let Entry { prev, next, .. } = self.entries[k as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.entries[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.entries[n as usize].prev = prev,
+        }
+    }
+
+    /// Appends `k` at the most recently used end of the LRU list.
+    fn push_tail(&mut self, k: u32) {
+        let e = &mut self.entries[k as usize];
+        e.prev = self.tail;
+        e.next = NIL;
+        match self.tail {
+            NIL => self.head = k,
+            t => self.entries[t as usize].next = k,
+        }
+        self.tail = k;
+    }
+
+    /// Marks cached key `k` most recently used.
+    fn promote(&mut self, k: u32) {
+        if self.tail != k {
+            self.unlink(k);
+            self.push_tail(k);
+        }
+    }
+
+    /// Caches absent key `k` and returns its slot: a fresh slot while
+    /// the cache has room, else the slot of the least recently used
+    /// key, which is evicted.
+    fn insert(&mut self, k: u32) -> u32 {
+        let slot = if self.next_slot < self.max_items {
+            let s = index(self.next_slot);
+            self.next_slot += 1;
+            s
+        } else {
+            let victim = self.head;
+            assert_ne!(victim, NIL, "cache full implies nonempty");
+            self.unlink(victim);
+            self.evictions += 1;
+            std::mem::replace(&mut self.entries[victim as usize], Entry::VACANT).slot
+        };
+        let i = k as usize;
+        if i >= self.entries.len() {
+            self.entries.resize(i + 1, Entry::VACANT);
+        }
+        self.entries[i].slot = slot;
+        self.push_tail(k);
+        slot
     }
 
     /// Processes one operation, returning what to touch and charge.
     pub fn process(&mut self, op: KvOp) -> KvOutcome {
-        self.tick += 1;
         match op {
-            KvOp::Get { key } => match self.items.get_mut(&key) {
-                Some((slot, tick)) => {
-                    *tick = self.tick;
-                    let slot = *slot;
-                    let addr = VirtAddr(self.config.slab_base.0 + slot * self.config.value_size);
+            KvOp::Get { key } => match self.cached_slot(key) {
+                Some(slot) => {
+                    self.promote(index(key));
                     self.hits += 1;
                     KvOutcome {
                         hit: true,
-                        touch: Some((addr, self.config.value_size, false)),
+                        touch: Some((self.slot_addr(slot), self.config.value_size, false)),
                         cpu: self.config.cpu_per_op,
                         response_bytes: self.config.value_size + 48,
                     }
@@ -205,36 +299,13 @@ impl Memcached {
                 }
             },
             KvOp::Set { key } => {
-                let slot = if let Some(entry) = self.items.get_mut(&key) {
-                    entry.1 = self.tick;
-                    entry.0
-                } else {
-                    let slot = if let Some(s) = self.free_slots.pop() {
-                        s
-                    } else if self.next_slot < self.max_items {
-                        let s = self.next_slot;
-                        self.next_slot += 1;
-                        s
-                    } else {
-                        // LRU eviction. Ticks are unique per operation,
-                        // so the minimum is unambiguous regardless of
-                        // map iteration order.
-                        let (&victim_key, &(victim_slot, _)) = self
-                            .items
-                            .iter()
-                            .min_by_key(|(_, &(_, t))| t)
-                            .expect("cache full implies nonempty");
-                        self.items.remove(&victim_key);
-                        self.evictions += 1;
-                        victim_slot
-                    };
-                    self.items.insert(key, (slot, self.tick));
-                    let idx = usize::try_from(slot).expect("slot fits usize");
-                    if idx >= self.slots.len() {
-                        self.slots.resize(idx + 1, u64::MAX);
+                let k = index(key);
+                let slot = match self.cached_slot(key) {
+                    Some(slot) => {
+                        self.promote(k);
+                        slot
                     }
-                    self.slots[idx] = key;
-                    slot
+                    None => self.insert(k),
                 };
                 KvOutcome {
                     hit: false,
@@ -258,15 +329,12 @@ pub enum KeyDistribution {
     Zipf(f64),
 }
 
-/// memaslap-like closed-loop load generator: 90 % GET / 10 % SET over a
-/// sliding key window (the "working set").
+/// memaslap-like closed-loop load generator: 90 % GET / 10 % SET over
+/// the keys `0..working_set_keys` (the "working set").
 #[derive(Debug)]
 pub struct Memaslap {
     /// Number of distinct keys in the working set.
     working_set_keys: u64,
-    /// First key of the window (shifting it changes the working set,
-    /// Figure 7).
-    window_start: u64,
     /// Probability of GET (the rest are SETs).
     get_fraction: f64,
     value_size: u64,
@@ -282,7 +350,6 @@ impl Memaslap {
     pub fn new(working_set_keys: u64, value_size: u64, rng: SimRng) -> Self {
         Memaslap {
             working_set_keys: working_set_keys.max(1),
-            window_start: 0,
             get_fraction: 0.9,
             value_size,
             distribution: KeyDistribution::Uniform,
@@ -309,8 +376,9 @@ impl Memaslap {
     }
 
     /// Resizes the working set (Figure 7's 100 MB↔900 MB shift). The
-    /// window stays anchored: growing keeps the old items hot, shrinking
-    /// keeps a hot subset — "the set increases by a factor of nine".
+    /// set stays anchored at key 0: growing keeps the old items hot,
+    /// shrinking keeps a hot subset — "the set increases by a factor of
+    /// nine".
     pub fn resize_working_set(&mut self, keys: u64) {
         self.working_set_keys = keys.max(1);
     }
@@ -318,11 +386,10 @@ impl Memaslap {
     /// Draws the next operation and its request size in bytes.
     pub fn next_op(&mut self) -> (KvOp, u64) {
         self.issued += 1;
-        let offset = match self.distribution {
+        let key = match self.distribution {
             KeyDistribution::Uniform => self.rng.below(self.working_set_keys),
             KeyDistribution::Zipf(s) => self.rng.zipf(self.working_set_keys, s),
         };
-        let key = self.window_start + offset;
         if self.rng.unit() < self.get_fraction {
             (KvOp::Get { key }, 40)
         } else {
@@ -539,6 +606,198 @@ mod tests {
         }
         assert_eq!(get_size, 40);
         assert_eq!(set_size, 2088);
+    }
+}
+
+#[cfg(test)]
+mod differential_tests {
+    use super::*;
+    use simcore::fxhash::FxHashMap;
+
+    /// The hash-map store the key-indexed table replaced: key -> (slot,
+    /// last-use tick), evicting the item with the smallest tick by a
+    /// full scan. Ticks are unique per operation, so the victim is
+    /// unambiguous.
+    struct Reference {
+        config: MemcachedConfig,
+        items: FxHashMap<u64, (u64, u64)>,
+        next_slot: u64,
+        max_items: u64,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl Reference {
+        fn new(config: MemcachedConfig) -> Self {
+            Reference {
+                config,
+                items: FxHashMap::default(),
+                next_slot: 0,
+                max_items: (config.max_bytes.bytes() / config.value_size).max(1),
+                tick: 0,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            }
+        }
+
+        fn addr(&self, slot: u64) -> VirtAddr {
+            VirtAddr(self.config.slab_base.0 + slot * self.config.value_size)
+        }
+
+        fn process(&mut self, op: KvOp) -> KvOutcome {
+            self.tick += 1;
+            let (cpu, value) = (self.config.cpu_per_op, self.config.value_size);
+            match op {
+                KvOp::Get { key } => match self.items.get_mut(&key) {
+                    Some((slot, tick)) => {
+                        *tick = self.tick;
+                        let slot = *slot;
+                        self.hits += 1;
+                        KvOutcome {
+                            hit: true,
+                            touch: Some((self.addr(slot), value, false)),
+                            cpu,
+                            response_bytes: value + 48,
+                        }
+                    }
+                    None => {
+                        self.misses += 1;
+                        KvOutcome {
+                            hit: false,
+                            touch: None,
+                            cpu,
+                            response_bytes: 32,
+                        }
+                    }
+                },
+                KvOp::Set { key } => {
+                    let slot = if let Some(entry) = self.items.get_mut(&key) {
+                        entry.1 = self.tick;
+                        entry.0
+                    } else {
+                        let slot = if self.next_slot < self.max_items {
+                            self.next_slot += 1;
+                            self.next_slot - 1
+                        } else {
+                            let (&victim, &(slot, _)) = self
+                                .items
+                                .iter()
+                                .min_by_key(|(_, &(_, t))| t)
+                                .expect("cache full implies nonempty");
+                            self.items.remove(&victim);
+                            self.evictions += 1;
+                            slot
+                        };
+                        self.items.insert(key, (slot, self.tick));
+                        slot
+                    };
+                    KvOutcome {
+                        hit: false,
+                        touch: Some((self.addr(slot), value, true)),
+                        cpu,
+                        response_bytes: 16,
+                    }
+                }
+            }
+        }
+    }
+
+    /// Drives both stores with one seeded GET/SET mix and compares
+    /// every outcome and counter after every operation.
+    fn check(seed: u64, capacity: u64, working_set: u64, ops: u32) {
+        let config = MemcachedConfig {
+            max_bytes: ByteSize::bytes_exact(capacity * 512),
+            value_size: 512,
+            ..MemcachedConfig::default()
+        };
+        let mut store = Memcached::new(config);
+        let mut reference = Reference::new(config);
+        let mut rng = SimRng::new(seed);
+        // A SET share that varies by seed, from read-mostly to
+        // write-heavy.
+        let set_share = 0.1 + 0.8 * rng.unit();
+        for i in 0..ops {
+            let key = rng.below(working_set);
+            let op = if rng.chance(set_share) {
+                KvOp::Set { key }
+            } else {
+                KvOp::Get { key }
+            };
+            let ctx = format!(
+                "seed {seed}, capacity {capacity}, working set {working_set}, op {i} {op:?}"
+            );
+            assert_eq!(store.process(op), reference.process(op), "{ctx}");
+            assert_eq!(store.hits(), reference.hits, "{ctx}");
+            assert_eq!(store.misses(), reference.misses, "{ctx}");
+            assert_eq!(store.evictions(), reference.evictions, "{ctx}");
+            assert_eq!(store.len(), reference.items.len(), "{ctx}");
+        }
+    }
+
+    #[test]
+    fn key_indexed_lru_matches_the_hash_map_store() {
+        for seed in 0..24u64 {
+            for capacity in [1, 2, 3, 7, 64] {
+                // Working sets of 0.5x to 4x the capacity.
+                for ws_x2 in [1, 2, 3, 5, 8] {
+                    let working_set = (capacity * ws_x2 / 2).max(1);
+                    check(seed, capacity, working_set, 2_000);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memaslap_load_matches_the_hash_map_store() {
+        // The generator's own mix (90/10, uniform and Zipf) over a cache
+        // a quarter to four times its working set.
+        for seed in 0..16u64 {
+            for (capacity, working_set) in [(100, 400), (256, 200), (300, 1_200)] {
+                let config = MemcachedConfig {
+                    max_bytes: ByteSize::bytes_exact(capacity * 1024),
+                    ..MemcachedConfig::default()
+                };
+                let mut store = Memcached::new(config);
+                let mut reference = Reference::new(config);
+                let mut gen = Memaslap::new(working_set, 1024, SimRng::new(seed));
+                if seed % 2 == 1 {
+                    gen.set_distribution(KeyDistribution::Zipf(0.99));
+                }
+                for _ in 0..5_000 {
+                    let (op, _) = gen.next_op();
+                    assert_eq!(
+                        store.process(op),
+                        reference.process(op),
+                        "seed {seed} {op:?}"
+                    );
+                }
+                assert_eq!(store.hits(), reference.hits);
+                assert_eq!(store.misses(), reference.misses);
+                assert_eq!(store.evictions(), reference.evictions);
+                assert_eq!(store.len(), reference.items.len());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "below u32::MAX")]
+    fn set_of_a_key_beyond_the_index_range_panics() {
+        let mut store = Memcached::new(MemcachedConfig::default());
+        store.process(KvOp::Set {
+            key: u64::from(u32::MAX),
+        });
+    }
+
+    #[test]
+    fn get_of_an_unseen_large_key_misses() {
+        let mut store = Memcached::new(MemcachedConfig::default());
+        store.process(KvOp::Set { key: 3 });
+        assert!(!store.process(KvOp::Get { key: u64::MAX }).hit);
+        assert!(!store.process(KvOp::Get { key: 1_000 }).hit);
+        assert_eq!(store.misses(), 2);
     }
 }
 
